@@ -17,7 +17,7 @@ from repro.meshnet import (
     MeshNetSimulator, MeshNetTrainer, MeshTrainingConfig, fields_to_nodes,
     mesh_from_lattice, velocity_field_rmse,
 )
-from repro.utils import Timer
+from repro.obs import Tracer
 
 from common import ARTIFACT_DIR, profile, write_result
 
@@ -78,12 +78,13 @@ def meshnet_results(meshnet_setup):
     # timing: one MeshNet frame vs the RECORD_EVERY LBM steps it replaces
     flow = vortex_shedding_flow(nx=NX, ny=NY, radius=RADIUS, tau=0.52,
                                 inflow=0.09)
-    lbm_t = Timer()
-    with lbm_t:
+    tracer = Tracer(enabled=True)
+    with tracer.span("lbm"):
         flow.solver.run(RECORD_EVERY)
-    mesh_t = Timer()
-    with mesh_t:
+    with tracer.span("meshnet"):
         sim.step(frames[start], boundary_values=frames[start])
+    seconds = {path: row["total"] for path, row in tracer.stats().items()}
+    lbm_s, mesh_s = seconds["lbm"], seconds["meshnet"]
 
     lines = [
         "E3: MeshNet vs CFD (von Karman vortex shedding, Fig 2)",
@@ -97,14 +98,13 @@ def meshnet_results(meshnet_setup):
                      f"{rmse_fresh[i] / u_scale * 100:>16.2f}")
     lines += [
         "",
-        f"one MeshNet frame: {mesh_t.total:.3f}s vs {RECORD_EVERY} LBM steps: "
-        f"{lbm_t.total:.3f}s (speedup {lbm_t.total / mesh_t.total:.1f}x)",
+        f"one MeshNet frame: {mesh_s:.3f}s vs {RECORD_EVERY} LBM steps: "
+        f"{lbm_s:.3f}s (speedup {lbm_s / mesh_s:.1f}x)",
         "shape check: trained MeshNet tracks CFD; untrained diverges "
         "(Fig 2's 'prediction vs ground truth').",
     ]
     write_result("bench_meshnet", "\n".join(lines))
-    return dict(rmse=rmse, rmse_fresh=rmse_fresh, lbm=lbm_t.total,
-                mesh=mesh_t.total)
+    return dict(rmse=rmse, rmse_fresh=rmse_fresh, lbm=lbm_s, mesh=mesh_s)
 
 
 def test_meshnet_step_benchmark(benchmark, meshnet_setup, meshnet_results):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.gns import FeatureConfig, GNSNetworkConfig, LearnedSimulator
 from repro.mpm import granular_column_collapse
-from repro.utils import Timer
+from repro.obs import Tracer
 
 from common import profile, write_result
 
@@ -52,27 +52,33 @@ def _measure(cells_per_unit: int, particles_per_cell: int,
     dt = solver.stable_dt()
     substeps = int(np.ceil(FRAME_DT / dt))
 
-    mpm_t = Timer()
-    with mpm_t:
-        for _ in range(frames * substeps):
-            solver.step(dt)
-
     sim = _gns_for(cells_per_unit, particles_per_cell)
     hist = np.stack([solver.particles.positions + i * 1e-5 for i in range(6)])
-    gns_t = Timer()
-    with gns_t:
+    # untimed: engine construction and the first neighbour build are a
+    # one-off cost, not part of the per-frame price
+    sim.rollout(hist, frames)
+
+    tracer = Tracer(enabled=True)
+    with tracer.span("mpm"):
+        for _ in range(frames * substeps):
+            solver.step(dt)
+    with tracer.span("gns"):
         sim.rollout(hist, frames)
+    seconds = {path: row["total"] for path, row in tracer.stats().items()}
 
     return dict(
         n=n, substeps=substeps,
-        mpm_per_frame=mpm_t.total / frames,
-        gns_per_frame=gns_t.total / frames,
-        speedup=mpm_t.total / gns_t.total,
+        mpm_per_frame=seconds["mpm"] / frames,
+        gns_per_frame=seconds["gns"] / frames,
+        speedup=seconds["mpm"] / seconds["gns"],
     )
 
 
 @pytest.fixture(scope="module")
 def speedup_table():
+    # discarded: the first GNS rollouts of a process can run several
+    # times slower while OpenBLAS's threads and the allocator settle
+    _measure(24, 2)
     rows = [_measure(24, 2), _measure(40, 2), _measure(40, 3)]
     stiff = [_measure(40, 2, youngs=5e6), rows[1], _measure(40, 2, youngs=5e8)]
     lines = [

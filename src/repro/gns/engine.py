@@ -455,6 +455,10 @@ class InferenceEngine:
                 san.check("engine.forward", acc, step=t)
             with self._spans["integrate"]:
                 x_next = self._integrate(window, acc, static_mask)
+            inj = get_injector()
+            if inj.armed and inj.fire("rollout.diverge"):
+                # the same chaos site as rollout, once per batched step
+                x_next = np.full_like(x_next, np.nan)
             if san is not None:
                 san.check("engine.integrate", x_next, step=t)
             if guard:

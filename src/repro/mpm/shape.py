@@ -3,8 +3,10 @@
 Both the linear hat (4 nodes per particle in 2-D) and the quadratic
 B-spline (9 nodes, the default — it avoids cell-crossing noise) are
 implemented fully vectorized: for ``n`` particles the kernel returns the
-stacked node ids, weights, and weight gradients for all ``n × k`` particle–
-node pairs at once, ready for a single ``np.add.at`` scatter.
+node ids, weights, and weight gradients of all ``k × n`` particle–node
+pairs at once, offset-major (one contiguous length-``n`` row per
+shape-function offset), which is the layout the solver's per-channel
+``bincount`` scatters and per-offset gathers run on.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ class ShapeKernel:
     Attributes
     ----------
     nodes:
-        ``(n, k)`` flattened grid-node indices per particle.
+        ``(k, n)`` flattened grid-node indices, one row per offset.
     weights:
-        ``(n, k)`` interpolation weights; rows sum to 1 (partition of unity).
+        ``(k, n)`` interpolation weights; columns sum to 1 (partition of
+        unity).
     grads:
-        ``(n, k, 2)`` spatial gradients ∂N/∂x of each weight.
+        ``(2, k, n)`` spatial gradients ∂N/∂x (``grads[0]``) and ∂N/∂y
+        (``grads[1]``) of each weight.
     """
 
     nodes: np.ndarray
@@ -45,6 +49,26 @@ class ShapeFunction:
         raise NotImplementedError
 
 
+def _tensor_product(base: np.ndarray, w1d: np.ndarray, dw1d: np.ndarray,
+                    ny: int) -> ShapeKernel:
+    """Combine per-axis 1-D weights ``(m, n, 2)`` at the ``m`` nodes from
+    ``base`` on into the ``m²`` 2-D offsets, offset ``i * m + j`` being
+    node ``(base_x + i, base_y + j)``."""
+    m, n = w1d.shape[:2]
+    steps = np.arange(m, dtype=np.int64)[:, None]
+    ix = base[:, 0] + steps                                  # (m, n)
+    iy = base[:, 1] + steps
+    wx, wy = w1d[:, None, :, 0], w1d[None, :, :, 1]          # (m, 1, n), (1, m, n)
+    dwx, dwy = dw1d[:, None, :, 0], dw1d[None, :, :, 1]
+    k = m * m
+    nodes = (ix[:, None] * ny + iy[None, :]).reshape(k, n)
+    weights = (wx * wy).reshape(k, n)
+    grads = np.empty((2, k, n), dtype=np.float64)
+    np.multiply(dwx, wy, out=grads[0].reshape(m, m, n))
+    np.multiply(wx, dwy, out=grads[1].reshape(m, m, n))
+    return ShapeKernel(nodes, weights, grads)
+
+
 class LinearShape(ShapeFunction):
     """Bilinear hat functions: support h, 4 nodes per particle (2-D)."""
 
@@ -53,7 +77,6 @@ class LinearShape(ShapeFunction):
     def __call__(self, positions: np.ndarray, h: float,
                  grid_dims: tuple[int, int]) -> ShapeKernel:
         pos = np.asarray(positions, dtype=np.float64)
-        n = pos.shape[0]
         xi = pos / h
         base = np.floor(xi).astype(np.int64)          # (n, 2)
         frac = xi - base                               # local coordinate in [0,1)
@@ -61,20 +84,7 @@ class LinearShape(ShapeFunction):
         # 1-D weights/gradients for offsets {0, 1} in each dimension
         w = np.stack([1.0 - frac, frac], axis=0)       # (2, n, 2)
         dw = np.stack([-np.ones_like(frac), np.ones_like(frac)], axis=0) / h
-
-        ny = grid_dims[1]
-        nodes = np.empty((n, 4), dtype=np.int64)
-        weights = np.empty((n, 4), dtype=np.float64)
-        grads = np.empty((n, 4, 2), dtype=np.float64)
-        k = 0
-        for i in range(2):
-            for j in range(2):
-                nodes[:, k] = (base[:, 0] + i) * ny + (base[:, 1] + j)
-                weights[:, k] = w[i, :, 0] * w[j, :, 1]
-                grads[:, k, 0] = dw[i, :, 0] * w[j, :, 1]
-                grads[:, k, 1] = w[i, :, 0] * dw[j, :, 1]
-                k += 1
-        return ShapeKernel(nodes, weights, grads)
+        return _tensor_product(base, w, dw, grid_dims[1])
 
 
 def _bspline_quadratic(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,20 +117,7 @@ class QuadraticShape(ShapeFunction):
             d = xi - (base + o)
             w1d[o], dw1d[o] = _bspline_quadratic(d)
         dw1d /= h
-
-        ny = grid_dims[1]
-        nodes = np.empty((n, 9), dtype=np.int64)
-        weights = np.empty((n, 9), dtype=np.float64)
-        grads = np.empty((n, 9, 2), dtype=np.float64)
-        k = 0
-        for i in range(3):
-            for j in range(3):
-                nodes[:, k] = (base[:, 0] + i) * ny + (base[:, 1] + j)
-                weights[:, k] = w1d[i, :, 0] * w1d[j, :, 1]
-                grads[:, k, 0] = dw1d[i, :, 0] * w1d[j, :, 1]
-                grads[:, k, 1] = w1d[i, :, 0] * dw1d[j, :, 1]
-                k += 1
-        return ShapeKernel(nodes, weights, grads)
+        return _tensor_product(base, w1d, dw1d, grid_dims[1])
 
 
 def make_shape(kind: str) -> ShapeFunction:

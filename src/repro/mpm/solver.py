@@ -11,8 +11,12 @@ CB-Geo MPM substrate implements:
    compute the velocity gradient, and update stress through the
    constitutive model (USL).
 
-Everything is vectorized over particles; the only Python-level loop is the
-constant-size loop over the 4/9 shape-function offsets.
+Everything is vectorized over particles. The transfers work on
+offset-major arrays (one length-``n`` row per shape-function offset) and
+reproduce, bit for bit, the accumulation order of ``np.add.at`` scatters
+and ``einsum`` gathers over particle-major ``(n, k, 2)`` arrays; see
+"Transfer layout" in ``docs/mpm.md``. The only Python-level loops are
+over the 4/9 offsets and the two axes.
 """
 
 from __future__ import annotations
@@ -24,12 +28,24 @@ import numpy as np
 
 from ..backend import get_backend
 from ..obs import get_registry, span
+from ..utils.buffers import Workspace
 from .grid import BoxBoundary, Grid
 from .materials import Material
 from .particles import Particles
 from .shape import ShapeFunction, make_shape
 
 __all__ = ["MPMConfig", "MPMSolver"]
+
+
+def _offset_sum(xp, terms):
+    """``Σ_j terms[j]`` added onto +0.0 in offset order ``j = 0, 1, ...``,
+    the order einsum accumulated its reduction in. Never
+    ``terms.sum(axis=0)``: with a single particle NumPy reduces the
+    then-contiguous offset axis pairwise, which rounds differently."""
+    acc = xp.zeros(terms.shape[1:], dtype=np.float64)
+    for row in terms:
+        acc += row
+    return acc
 
 
 @dataclass
@@ -65,10 +81,14 @@ class MPMSolver:
         self.materials = materials
         self.config = config or MPMConfig()
         # the solver is constructed *on* a backend: the P2G scatters and
-        # the G2P einsums dispatch through this handle for its lifetime
+        # the G2P gathers dispatch through this handle for its lifetime
         self.backend = get_backend(backend)
         self.shape: ShapeFunction = make_shape(self.config.shape)
         self._gravity = np.asarray(self.config.gravity, dtype=np.float64)
+        # per-pair scratch kept across steps: allocated fresh each step,
+        # these half-megabyte arrays cost more in page faults than the
+        # arithmetic that fills them
+        self._work = Workspace()
         self.time = 0.0
         self.step_count = 0
         ids = np.unique(particles.material_ids)
@@ -129,28 +149,48 @@ class MPMSolver:
         """
         p = self.particles
         g = self.grid
-        b = self.backend
-        xp = b.xp
+        xp = self.backend.xp
         dt = float(dt if dt is not None else self.stable_dt())
 
         kernel = self.shape(p.positions, g.spacing, g.node_dims)
         nodes, w, dw = kernel.nodes, kernel.weights, kernel.grads
-        flat = nodes.ravel()
+        k, n = nodes.shape
 
         # --- P2G -------------------------------------------------------
         with span("mpm/p2g"):
-            g.reset()
-            mw = p.masses[:, None] * w                       # (n, k)
-            b.index_add(g.mass, flat, mw.ravel())
-            mom = mw[:, :, None] * p.velocities[:, None, :]  # (n, k, 2)
-            b.index_add(g.momentum, flat, mom.reshape(-1, 2))
-
-            # internal force −V_p σ_p ∇N  (σ symmetric)
-            f_int = -xp.einsum("p,pab,pkb->pka", p.volumes, p.stresses, dw)
-            b.index_add(g.force, flat, f_int.reshape(-1, 2))
-            # gravity
-            f_ext = mw[:, :, None] * self._gravity
-            b.index_add(g.force, flat, f_ext.reshape(-1, 2))
+            # per-pair contributions, one (k, n) row block per channel:
+            # mass, momentum x/y, then internal and gravity force per axis
+            pairs = self._work.get("p2g.pairs", (7, k, n), np.float64)
+            mw = pairs[0]
+            xp.multiply(w, p.masses, out=mw)
+            vs = p.volumes[:, None, None] * p.stresses       # V_p σ_p
+            for a in range(2):
+                xp.multiply(mw, p.velocities[:, a], out=pairs[1 + a])
+                # internal force −V_p σ_p ∇N (σ symmetric), V_p σ_p
+                # formed first as einsum did: −(Vσ_a0 ∂xN + Vσ_a1 ∂yN)
+                f_int = pairs[3 + 2 * a]
+                xp.multiply(vs[:, a, 0], dw[0], out=f_int)
+                f_int += vs[:, a, 1] * dw[1]
+                xp.negative(f_int, out=f_int)
+                xp.multiply(mw, self._gravity[a], out=pairs[4 + 2 * a])
+            # Particle-major pair order is the order np.add.at summed in,
+            # and bincount adds its weights in input order: every node
+            # total is rounded exactly as before. Each axis's internal and
+            # gravity rows are adjacent, so one bincount adds all internal
+            # terms of a node before any gravity term, as two add.at did.
+            idx = self._work.get("p2g.nodes", (2, n, k), np.int64)
+            idx[0] = nodes.T
+            idx[1] = idx[0]
+            flat, flat2 = idx[0].ravel(), idx.ravel()
+            pm = self._work.get("p2g.particle_major", (7, n, k), np.float64)
+            xp.copyto(pm, pairs.transpose(0, 2, 1))
+            nn = g.num_nodes
+            g.mass[:] = xp.bincount(flat, pm[0].ravel(), minlength=nn)
+            for a in range(2):
+                g.momentum[:, a] = xp.bincount(flat, pm[1 + a].ravel(),
+                                               minlength=nn)
+                g.force[:, a] = xp.bincount(
+                    flat2, pm[3 + 2 * a:5 + 2 * a].ravel(), minlength=nn)
 
         # --- grid update -------------------------------------------------
         with span("mpm/grid"):
@@ -167,10 +207,21 @@ class MPMSolver:
 
         # --- G2P ---------------------------------------------------------
         with span("mpm/g2p"):
-            v_new_k = v_new[nodes]                            # (n, k, 2)
-            v_old_k = v_old[nodes]
-            v_pic = xp.einsum("pk,pkc->pc", w, v_new_k)
-            dv = xp.einsum("pk,pkc->pc", w, v_new_k - v_old_k)
+            # per-pair terms, 8 rows per offset: w·v (PIC), w·Δv (FLIP
+            # increment), then v_a ∂N/∂x_b for the velocity gradient L_ab.
+            # Δv taken per node and then gathered is the same per-pair
+            # difference as gathering both velocities first.
+            dv_grid = v_new - v_old
+            terms = self._work.get("g2p.terms", (k, 8, n), np.float64)
+            for a in range(2):
+                v_k = v_new[:, a][nodes]                      # (k, n)
+                xp.multiply(w, v_k, out=terms[:, a])
+                xp.multiply(w, dv_grid[:, a][nodes], out=terms[:, 2 + a])
+                for b in range(2):
+                    xp.multiply(v_k, dw[b], out=terms[:, 4 + 2 * a + b])
+            sums = _offset_sum(xp, terms)                     # (8, n)
+            v_pic = sums[0:2].T.copy()
+            dv = sums[2:4].T
             flip = self.config.flip
             p.velocities = (1.0 - flip) * v_pic + flip * (p.velocities + dv)
             p.positions = p.positions + dt * v_pic
@@ -181,7 +232,7 @@ class MPMSolver:
             xp.clip(p.positions[:, 1], margin, g.size[1] - margin, out=p.positions[:, 1])
 
             # velocity gradient L_ab = Σ_k v_a ∂N/∂x_b
-            lgrad = xp.einsum("pka,pkb->pab", v_new_k, dw)
+            lgrad = sums[4:8].T.reshape(n, 2, 2)
             strain_inc = 0.5 * (lgrad + lgrad.transpose(0, 2, 1)) * dt
             spin_inc = 0.5 * (lgrad - lgrad.transpose(0, 2, 1)) * dt
 

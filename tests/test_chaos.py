@@ -11,6 +11,7 @@ from repro.gns import FeatureConfig, GNSNetworkConfig, LearnedSimulator
 from repro.hybrid import FixedSchedule, HybridSimulator
 from repro.mpm import granular_box_flow
 from repro.nn import Adam, Linear
+from repro.obs import RolloutDivergedError
 from repro.parallel import DataParallelConfig, DataParallelTrainer
 from repro.resilience import (
     RecoveryPolicy, RewindPolicy, TrainingAbortedError, arm_faults,
@@ -167,6 +168,37 @@ class TestHybridRewind:
         assert result.rewinds == 2
         assert result.gns_frames == 0
         assert result.mpm_frames == 10
+
+
+class TestRolloutDivergeSite:
+    """``rollout.diverge`` fires once per step on both engine loops, so
+    an armed step index surfaces as the same typed error on each."""
+
+    @staticmethod
+    def _sim_and_seed(n=6):
+        fc = FeatureConfig(connectivity_radius=0.3, history=2, bounds=BOUNDS,
+                           dim=2)
+        nc = GNSNetworkConfig(latent_size=8, mlp_hidden_size=8,
+                              mlp_hidden_layers=1, message_passing_steps=1)
+        sim = LearnedSimulator(fc, nc, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x0 = rng.uniform(0.3, 0.7, size=(n, 2))
+        seed = np.stack([x0 + 1e-3 * i for i in range(3)])
+        return sim, seed
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    def test_armed_step_raises_typed_error(self, batch):
+        """``None`` is the single-trajectory ``rollout``; ``1``/``3`` are
+        ``rollout_batch`` with that many trajectories."""
+        sim, seed = self._sim_and_seed()
+        arm_faults("rollout.diverge@2")
+        with pytest.raises(RolloutDivergedError) as err:
+            if batch is None:
+                sim.rollout(seed, 5)
+            else:
+                sim.rollout_batch(np.stack([seed] * batch), 5)
+        assert err.value.step == 2
+        assert get_injector().fired("rollout.diverge") == 1
 
 
 class TestPoolChaos:

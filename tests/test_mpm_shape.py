@@ -22,7 +22,7 @@ class TestShapeCommon:
     def test_partition_of_unity(self, shape_cls):
         rng = np.random.default_rng(0)
         k = shape_cls()(_interior_positions(rng, 50), H, GRID_DIMS)
-        np.testing.assert_allclose(k.weights.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(k.weights.sum(axis=0), 1.0, atol=1e-12)
 
     def test_gradients_sum_to_zero(self, shape_cls):
         rng = np.random.default_rng(1)
@@ -42,7 +42,7 @@ class TestShapeCommon:
         ny = GRID_DIMS[1]
         node_xy = np.stack([(k.nodes // ny) * H, (k.nodes % ny) * H], axis=-1)
         f_nodes = 2.0 * node_xy[..., 0] - 3.0 * node_xy[..., 1] + 0.7
-        interp = (k.weights * f_nodes).sum(axis=1)
+        interp = (k.weights * f_nodes).sum(axis=0)
         expected = 2.0 * pos[:, 0] - 3.0 * pos[:, 1] + 0.7
         np.testing.assert_allclose(interp, expected, atol=1e-10)
 
@@ -53,7 +53,7 @@ class TestShapeCommon:
         ny = GRID_DIMS[1]
         node_xy = np.stack([(k.nodes // ny) * H, (k.nodes % ny) * H], axis=-1)
         f_nodes = 2.0 * node_xy[..., 0] - 3.0 * node_xy[..., 1]
-        grad = np.einsum("pk,pkd->pd", f_nodes, k.grads)
+        grad = np.einsum("kp,dkp->pd", f_nodes, k.grads)
         np.testing.assert_allclose(grad, np.tile([2.0, -3.0], (30, 1)), atol=1e-9)
 
     def test_matches_central_difference(self, shape_cls):
@@ -71,14 +71,14 @@ class TestShapeCommon:
             km = shape(dm, H, GRID_DIMS)
             assert np.array_equal(kp.nodes, k0.nodes)  # same support cell
             num = (kp.weights - km.weights) / (2 * eps)
-            np.testing.assert_allclose(k0.grads[:, :, d], num, atol=1e-6)
+            np.testing.assert_allclose(k0.grads[d], num, atol=1e-6)
 
 
 class TestQuadraticSpecific:
     def test_nine_nodes(self):
         k = QuadraticShape()(np.array([[0.5, 0.5]]), H, GRID_DIMS)
-        assert k.nodes.shape == (1, 9)
-        assert len(np.unique(k.nodes[0])) == 9
+        assert k.nodes.shape == (9, 1)
+        assert len(np.unique(k.nodes[:, 0])) == 9
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.31, max_value=1.49),

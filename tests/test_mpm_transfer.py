@@ -1,0 +1,136 @@
+"""Bitwise gate for the offset-major MPM transfers.
+
+``_reference_step`` is a frozen copy of ``MPMSolver.step`` as it was
+written before the transfers moved to offset-major arrays: particle-major
+``(n, k)`` kernels, ``np.add.at`` scatters and ``einsum`` gathers. The
+production step must reproduce its trajectories exactly, so every
+particle field is compared with ``np.array_equal`` after many steps.
+"""
+
+import numpy as np
+import pytest
+
+from repro.mpm import (
+    BoxBoundary, DruckerPrager, Grid, MPMConfig, MPMSolver, Particles,
+    dam_break, elastic_block_bounce, flow_around_obstacle, granular_box_flow,
+    granular_column_collapse, water_on_sand,
+)
+
+CELLS = 12
+STEPS = 60
+FIELDS = ("positions", "velocities", "stresses", "sigma_zz", "volumes")
+
+
+def _reference_step(solver):
+    p, g = solver.particles, solver.grid
+    dt = solver.stable_dt()
+    kernel = solver.shape(p.positions, g.spacing, g.node_dims)
+    # the layout (and so the einsum loop order) the old step computed in
+    nodes = np.ascontiguousarray(kernel.nodes.T)                  # (n, k)
+    w = np.ascontiguousarray(kernel.weights.T)                    # (n, k)
+    dw = np.ascontiguousarray(kernel.grads.transpose(2, 1, 0))    # (n, k, 2)
+    flat = nodes.ravel()
+
+    g.reset()
+    mw = p.masses[:, None] * w
+    np.add.at(g.mass, flat, mw.ravel())
+    mom = mw[:, :, None] * p.velocities[:, None, :]
+    np.add.at(g.momentum, flat, mom.reshape(-1, 2))
+    f_int = -np.einsum("p,pab,pkb->pka", p.volumes, p.stresses, dw)
+    np.add.at(g.force, flat, f_int.reshape(-1, 2))
+    f_ext = mw[:, :, None] * solver._gravity
+    np.add.at(g.force, flat, f_ext.reshape(-1, 2))
+
+    v_old = g.boundary.apply(g, g.velocities())
+    if g.obstacle_mask is not None:
+        v_old[g.obstacle_mask] = 0.0
+    m = np.maximum(g.mass, 1e-12)[:, None]
+    v_new = v_old + dt * g.force / m
+    v_new[g.mass <= 1e-12] = 0.0
+    v_new = g.boundary.apply(g, v_new)
+    if g.obstacle_mask is not None:
+        v_new[g.obstacle_mask] = 0.0
+
+    v_new_k, v_old_k = v_new[nodes], v_old[nodes]
+    v_pic = np.einsum("pk,pkc->pc", w, v_new_k)
+    dv = np.einsum("pk,pkc->pc", w, v_new_k - v_old_k)
+    flip = solver.config.flip
+    p.velocities = (1.0 - flip) * v_pic + flip * (p.velocities + dv)
+    p.positions = p.positions + dt * v_pic
+    margin = g.interior_margin()
+    np.clip(p.positions[:, 0], margin, g.size[0] - margin, out=p.positions[:, 0])
+    np.clip(p.positions[:, 1], margin, g.size[1] - margin, out=p.positions[:, 1])
+
+    lgrad = np.einsum("pka,pkb->pab", v_new_k, dw)
+    strain_inc = 0.5 * (lgrad + lgrad.transpose(0, 2, 1)) * dt
+    spin_inc = 0.5 * (lgrad - lgrad.transpose(0, 2, 1)) * dt
+    tr = strain_inc[:, 0, 0] + strain_inc[:, 1, 1]
+    p.volumes = p.volumes * (1.0 + tr)
+    for mat_id, mat in solver.materials.items():
+        sel = p.material_ids == mat_id
+        if not np.any(sel):
+            continue
+        s_new, szz_new = mat.update_stress(
+            p.stresses[sel], p.sigma_zz[sel], strain_inc[sel], spin_inc[sel],
+            jacobian=p.volumes[sel] / p.initial_volumes[sel], dt=dt)
+        p.stresses[sel] = s_new
+        p.sigma_zz[sel] = szz_new
+    solver.time += dt
+    solver.step_count += 1
+
+
+def _linear_column():
+    s = granular_column_collapse(cells_per_unit=CELLS).solver
+    return MPMSolver(s.grid, s.particles, s.materials, MPMConfig(shape="linear"))
+
+
+def _few_particles(n):
+    """``n`` particles with random velocities and stresses, so every
+    transfer term is non-trivial."""
+    rng = np.random.default_rng(n)
+    vol = np.full(n, 2.5e-3, dtype=np.float64)
+    stress = rng.normal(0.0, 1e3, size=(n, 2, 2))
+    particles = Particles(
+        positions=rng.uniform(0.3, 0.7, size=(n, 2)),
+        velocities=rng.normal(0.0, 0.5, size=(n, 2)),
+        masses=1800.0 * vol, volumes=vol.copy(),
+        stresses=0.5 * (stress + stress.transpose(0, 2, 1)),
+        sigma_zz=rng.normal(0.0, 1e3, size=n))
+    return MPMSolver(Grid((1.0, 1.0), 0.1, BoxBoundary()), particles,
+                     DruckerPrager(density=1800.0, youngs_modulus=2e6,
+                                   poisson_ratio=0.3))
+
+
+SCENARIOS = {
+    "column": lambda: granular_column_collapse(cells_per_unit=CELLS).solver,
+    "column-linear": _linear_column,
+    "box-flow": lambda: granular_box_flow(seed=0, cells_per_unit=CELLS).solver,
+    "dam-break": lambda: dam_break(cells_per_unit=CELLS).solver,
+    "water-on-sand": lambda: water_on_sand(cells_per_unit=CELLS).solver,
+    "obstacle": lambda: flow_around_obstacle(cells_per_unit=CELLS).solver,
+    "elastic-bounce": lambda: elastic_block_bounce(cells_per_unit=CELLS).solver,
+    # one particle is the case where a `.sum(axis=0)` over offsets would
+    # switch to pairwise summation
+    "1-particle": lambda: _few_particles(1),
+    "2-particles": lambda: _few_particles(2),
+    "3-particles": lambda: _few_particles(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_step_matches_frozen_reference_bitwise(name):
+    solver, reference = SCENARIOS[name](), SCENARIOS[name]()
+    for _ in range(STEPS):
+        solver.step()
+        _reference_step(reference)
+    assert solver.step_count == reference.step_count == STEPS
+    assert solver.time == reference.time
+    for field in FIELDS:
+        got = getattr(solver.particles, field)
+        assert np.isfinite(got).all(), field
+        assert np.array_equal(got, getattr(reference.particles, field)), field
+
+
+def test_water_on_sand_has_two_materials():
+    solver = SCENARIOS["water-on-sand"]()
+    assert len(np.unique(solver.particles.material_ids)) == 2
