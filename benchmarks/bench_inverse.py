@@ -7,14 +7,21 @@ forward pass truncated to k=30 steps for memory. Checks here:
 * the AD gradient matches central differences through the full rollout,
 * gradient descent moves φ from 45° toward the 30° target,
 * AD gradient cost vs the finite-difference baseline (1 fwd+bwd vs 2 fwd),
-* ablation: truncated-rollout length k (the paper's memory knob).
+* ablation: truncated-rollout length k (the paper's memory knob), in
+  time and in traced peak memory, against segment checkpointing.
 """
+
+import gc
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, no_grad
-from repro.inverse import RunoutInverseProblem, finite_difference_gradient
+from repro.gns import checkpointed_rollout_gradient
+from repro.inverse import (RunoutInverseProblem, finite_difference_gradient,
+                           soft_runout)
 
 from common import trained_material_gns, write_figure, write_result
 
@@ -23,6 +30,15 @@ PHI_GUESS = 45.0
 
 
 SEED_OFFSET = 12   # start mid-collapse, when dynamics (and phi) matter
+
+# bench_inverse.txt sections, in file order; each test fills its own
+_SECTIONS: dict[str, str] = {}
+
+
+def _write_section(name: str, text: str) -> None:
+    _SECTIONS[name] = text
+    write_result("bench_inverse", "\n\n".join(
+        _SECTIONS[k] for k in ("inversion", "memory") if k in _SECTIONS))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +99,7 @@ def inversion_results(problem):
         "shape check: AD gradient descent reduces J and moves phi toward the "
         "target, like Fig 5b.",
     ]
-    write_result("bench_inverse", "\n".join(lines))
+    _write_section("inversion", "\n".join(lines))
     if trace:
         from repro.viz import line_chart
 
@@ -141,18 +157,74 @@ def test_fd_gradient_benchmark(benchmark, problem):
     benchmark.pedantic(fd_grad, rounds=3, iterations=1)
 
 
-def test_rollout_length_ablation(problem):
-    """The paper's k=30 memory knob: longer k costs proportionally more tape."""
-    import time
+def _traced_peak_mb(fn) -> float:
+    """Peak traced allocation of ``fn()`` in MB (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
-    times = {}
-    for k in (4, 8):
-        problem_k = RunoutInverseProblem(
+
+def test_rollout_length_ablation(problem):
+    """The paper's k=30 memory knob: longer k costs proportionally more
+    tape; segment checkpointing holds one segment's tape at a time, so
+    its peak follows the segment length, not k."""
+    phi = 40.0
+
+    def problem_at(k):
+        return RunoutInverseProblem(
             problem.simulator, problem.initial_history,
             target_runout=problem.target_runout, toe_x=problem.toe_x,
             rollout_steps=k, temperature=0.01)
+
+    def loss_and_backward(prob):
+        t = Tensor(np.array(phi), requires_grad=True)
+        prob.loss(t).backward(inputs=[t])
+
+    def loss_fn(frame):
+        diff = soft_runout(frame, problem.toe_x, 0.01) - problem.target_runout
+        return diff * diff
+
+    def checkpointed(k, segment):
+        return checkpointed_rollout_gradient(
+            problem.simulator, problem.initial_history, k, phi, loss_fn,
+            segment_length=segment)
+
+    times, tape = {}, {}
+    for k in (4, 8):
+        problem_k = problem_at(k)
         t0 = time.perf_counter()
-        t = Tensor(np.array(40.0), requires_grad=True)
-        problem_k.loss(t).backward()
+        loss_and_backward(problem_k)
         times[k] = time.perf_counter() - t0
+        tape[k] = _traced_peak_mb(lambda: loss_and_backward(problem_k))
+    ckpt = {(k, seg): _traced_peak_mb(lambda: checkpointed(k, seg))
+            for k, seg in ((4, 2), (8, 2), (8, 4))}
+
+    lines = [
+        "E5 memory: traced peak (tracemalloc) of one loss + backward",
+        f"{'rollout':<34} | {'k':>2} | {'segment':>7} | {'peak MB':>8}",
+    ]
+    for k in (4, 8):
+        lines.append(f"{'full tape (backward inputs=[phi])':<34} | {k:>2} | "
+                     f"{'-':>7} | {tape[k]:>8.2f}")
+    for (k, seg), mb in ckpt.items():
+        lines.append(f"{'checkpointed_rollout_gradient':<34} | {k:>2} | "
+                     f"{seg:>7} | {mb:>8.2f}")
+    lines += [
+        f"time of one loss + backward: k=4 {times[4]:.3f} s, "
+        f"k=8 {times[8]:.3f} s",
+        "the tape grows with k; the checkpointed peak follows the segment "
+        "length (one segment's tape alive at a time), not k.",
+    ]
+    _write_section("memory", "\n".join(lines))
+
     assert times[8] > times[4], "longer differentiable rollouts cost more"
+    assert tape[8] > 1.3 * tape[4], "tape memory grows with k"
+    assert ckpt[(8, 2)] < 1.15 * ckpt[(4, 2)], \
+        "the checkpointed peak must not grow with k"
+    assert ckpt[(8, 4)] > 1.3 * ckpt[(8, 2)], \
+        "the checkpointed peak follows the segment length"
+    assert ckpt[(8, 2)] < tape[8], "checkpointing must save memory"

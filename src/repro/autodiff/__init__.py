@@ -6,7 +6,8 @@ neural-network functions, and a fusion pass that collapses elementwise
 chains into single tape nodes.
 """
 
-from .tensor import Tensor, as_tensor, concatenate, no_grad, is_grad_enabled, stack, where
+from .tensor import (GraphConsumedError, Tensor, as_tensor, concatenate,
+                     is_grad_enabled, no_grad, stack, where)
 from .scatter import SortedSegments, gather, scatter_add, scatter_mean, scatter_softmax
 from .fused import fused_edge_mlp, fused_node_mlp, linear_relu, mlp_forward
 from .compile import CompiledChain, compile_tape
@@ -15,7 +16,7 @@ from . import fused
 
 __all__ = [
     "Tensor", "as_tensor", "concatenate", "stack", "where",
-    "no_grad", "is_grad_enabled",
+    "no_grad", "is_grad_enabled", "GraphConsumedError",
     "SortedSegments",
     "gather", "scatter_add", "scatter_mean", "scatter_softmax",
     "linear_relu", "mlp_forward", "fused_edge_mlp", "fused_node_mlp",

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import active as _active_backend
-from .scatter import segment_sum
+from .scatter import SortedSegments, segment_sum
 from .tensor import Tensor, as_tensor
 
 __all__ = [
@@ -268,9 +268,9 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
     if gamma is not None:
         xhat, inv = saved["xhat"], saved["inv"]
         width = xhat.shape[1]
-        if gamma.requires_grad:
+        if grads.wants(gamma):
             Tensor._add_grad(grads, gamma, np.einsum("ij,ij->j", g, xhat))
-        if beta.requires_grad:
+        if grads.wants(beta):
             Tensor._add_grad(grads, beta, g.sum(axis=0))
         gxh = g * gamma.data
         m1 = gxh @ _mean_vec(width, gxh.dtype)
@@ -285,9 +285,9 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
     acts = saved["acts"]
     for k in range(len(weights) - 1, 0, -1):
         act = acts[k - 1]
-        if weights[k].requires_grad:
+        if grads.wants(weights[k]):
             Tensor._add_grad(grads, weights[k], act.T @ gh)
-        if biases[k].requires_grad:
+        if grads.wants(biases[k]):
             Tensor._add_grad(grads, biases[k], gh.sum(axis=0))
         gh = gh @ weights[k].data.T
         gh *= act > 0
@@ -307,11 +307,11 @@ def linear_relu(x, weight, bias) -> Tensor:
 
     def backward(g, grads):
         gh = g * (out > 0)
-        if weight.requires_grad:
+        if grads.wants(weight):
             Tensor._add_grad(grads, weight, x.data.T @ gh)
-        if bias.requires_grad:
+        if grads.wants(bias):
             Tensor._add_grad(grads, bias, gh.sum(axis=0))
-        if x.requires_grad:
+        if grads.wants(x):
             Tensor._add_grad(grads, x, gh @ weight.data.T)
 
     return Tensor._make(out, (x, weight, bias), backward)
@@ -334,11 +334,11 @@ def mlp_forward(x, weights, biases, gamma=None, beta=None,
 
     def backward(g, grads):
         gh = _mlp_backward_tail(g, saved, weights, biases, gamma, beta, grads)
-        if weights[0].requires_grad:
+        if grads.wants(weights[0]):
             Tensor._add_grad(grads, weights[0], x.data.T @ gh)
-        if biases[0].requires_grad:
+        if grads.wants(biases[0]):
             Tensor._add_grad(grads, biases[0], gh.sum(axis=0))
-        if x.requires_grad:
+        if grads.wants(x):
             Tensor._add_grad(grads, x, gh @ weights[0].data.T)
 
     return Tensor._make(out, [x] + weights + biases + ln_parents, backward)
@@ -346,9 +346,16 @@ def mlp_forward(x, weights, biases, gamma=None, beta=None,
 
 def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
                    weights, biases, gamma=None, beta=None,
-                   eps: float = 1e-5) -> Tensor:
+                   eps: float = 1e-5, *,
+                   sender_plan: SortedSegments | None = None,
+                   receiver_plan: SortedSegments | None = None) -> Tensor:
     """Edge MLP ``φ_e([e, v_s, v_r])`` with the split first layer, fused
-    into one tape node (gathers, concat, all linear layers, LayerNorm)."""
+    into one tape node (gathers, concat, all linear layers, LayerNorm).
+
+    ``sender_plan`` / ``receiver_plan`` are :class:`SortedSegments` over
+    ``senders`` / ``receivers``; the VJP's two node-side segment sums
+    reuse their cached CSR matrices (bitwise-equal to the stateless
+    path)."""
     edge_f, node_f = as_tensor(edge_f), as_tensor(node_f)
     weights, biases = _as_param_lists(weights, biases)
     ln_parents, gamma, beta = _ln_parents(
@@ -370,19 +377,20 @@ def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
         ein = edge_f.data.shape[1]
         width = node_f.data.shape[1]
         n = node_f.data.shape[0]
-        seg_s = segment_sum(gh, senders, n)
-        seg_r = segment_sum(gh, receivers, n)
-        if weights[0].requires_grad:
+        if grads.wants(weights[0]) or grads.wants(node_f):
+            seg_s = segment_sum(gh, senders, n, plan=sender_plan)
+            seg_r = segment_sum(gh, receivers, n, plan=receiver_plan)
+        if grads.wants(weights[0]):
             gw0 = np.empty_like(w0)
             gw0[:ein] = edge_f.data.T @ gh
             gw0[ein:ein + width] = node_f.data.T @ seg_s
             gw0[ein + width:] = node_f.data.T @ seg_r
             Tensor._add_grad(grads, weights[0], gw0)
-        if biases[0].requires_grad:
+        if grads.wants(biases[0]):
             Tensor._add_grad(grads, biases[0], gh.sum(axis=0))
-        if edge_f.requires_grad:
+        if grads.wants(edge_f):
             Tensor._add_grad(grads, edge_f, gh @ w0[:ein].T)
-        if node_f.requires_grad:
+        if grads.wants(node_f):
             gnodes = seg_s @ w0[ein:ein + width].T
             gnodes += seg_r @ w0[ein + width:].T
             Tensor._add_grad(grads, node_f, gnodes)
@@ -420,21 +428,21 @@ def fused_node_mlp(node_f, agg, weights, biases, gamma=None, beta=None,
         out = residual.data + out
 
     def backward(g, grads):
-        if residual is not None and residual.requires_grad:
+        if residual is not None and grads.wants(residual):
             Tensor._add_grad(grads, residual, g)
         gh = _mlp_backward_tail(g, saved, weights, biases, gamma, beta, grads)
         w0 = weights[0].data
         width = node_f.data.shape[1]
-        if weights[0].requires_grad:
+        if grads.wants(weights[0]):
             gw0 = np.empty_like(w0)
             gw0[:width] = node_f.data.T @ gh
             gw0[width:] = agg.data.T @ gh
             Tensor._add_grad(grads, weights[0], gw0)
-        if biases[0].requires_grad:
+        if grads.wants(biases[0]):
             Tensor._add_grad(grads, biases[0], gh.sum(axis=0))
-        if node_f.requires_grad:
+        if grads.wants(node_f):
             Tensor._add_grad(grads, node_f, gh @ w0[:width].T)
-        if agg.requires_grad:
+        if grads.wants(agg):
             Tensor._add_grad(grads, agg, gh @ w0[width:].T)
 
     parents = [node_f, agg] + weights + biases + ln_parents

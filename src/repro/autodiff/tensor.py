@@ -3,7 +3,8 @@
 This module is the substrate that replaces PyTorch's autograd in the paper:
 it provides a tape-based :class:`Tensor` whose operations record a dynamic
 computation graph, and a :meth:`Tensor.backward` pass that propagates
-gradients to every leaf with ``requires_grad=True``.
+gradients to every leaf with ``requires_grad=True`` (or only to the leaves
+passed as ``inputs=``) and consumes the graph it sweeps.
 
 Design notes
 ------------
@@ -18,21 +19,36 @@ Design notes
   to a scalar material property that enters the graph as a node feature.
 * Broadcasting follows NumPy semantics; :func:`_unbroadcast` reduces an
   upstream gradient back to the shape of the operand that was broadcast.
+* A graph is differentiated once per forward: the sweep drops each
+  node's VJP closure (and the arrays it saved) and parent links as it
+  goes, so tape memory is released during the backward, not when the
+  caller lets go of the loss. Reaching a consumed node raises
+  :class:`GraphConsumedError`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..backend import active as _active_backend, active_xp as _xp
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
-           "set_tape_hook"]
+__all__ = ["Tensor", "GraphConsumedError", "no_grad", "is_grad_enabled",
+           "as_tensor", "set_tape_hook"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the tape, per thread: ``repro.serve`` runs
+    inversions on worker threads, and one worker's ``no_grad()`` must not
+    stop another's forward from recording."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 # Optional tape-dispatch hooks, called with (out_data, backward_fn) for
 # every tape op created through Tensor._make. Hooks live in named slots
@@ -77,19 +93,19 @@ def set_tape_hook(hook: Callable[[np.ndarray, Callable], None] | None,
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph recording (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph recording (inference mode)
+    in the calling thread."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_MODE.enabled = prev
 
 
 def is_grad_enabled() -> bool:
-    """Return True when operations record the autodiff tape."""
-    return _GRAD_ENABLED
+    """Return True when operations in this thread record the tape."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,6 +121,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+class GraphConsumedError(RuntimeError):
+    """A backward pass reached a tape node an earlier backward consumed.
+
+    Raised while the graph is traversed, before any VJP runs, so no
+    ``.grad`` changes. Recompute the forward to differentiate again.
+    """
+
+
+def _consumed(g, grads) -> None:
+    """Stands in for the VJP of a node a backward pass has consumed."""
+    raise GraphConsumedError("tape node already consumed by a backward pass")
+
+
+class _Gradients(dict):
+    """Pending gradients of one backward sweep, keyed by tensor identity.
+
+    ``wanted`` holds the ids of the tensors on a path to the requested
+    inputs (every tensor the sweep reached, for a full backward); VJPs
+    ask :meth:`wants` before computing a parent's gradient. The state
+    belongs to the sweep, not the module, so backward passes on
+    different threads never prune each other's gradients.
+    """
+
+    __slots__ = ("wanted",)
+
+    def __init__(self, wanted: set[int]):
+        super().__init__()
+        self.wanted = wanted
+
+    def wants(self, t: "Tensor") -> bool:
+        """Whether this sweep differentiates with respect to ``t``."""
+        return id(t) in self.wanted
 
 
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
@@ -162,7 +212,8 @@ class Tensor:
         """Create a non-leaf tensor, recording the tape edge when enabled."""
         if _TAPE_HOOK is not None:
             _TAPE_HOOK(data, backward_fn)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad
+                                              for p in parents)
         out = cls(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -215,14 +266,28 @@ class Tensor:
     # ------------------------------------------------------------------
     # backward pass
     # ------------------------------------------------------------------
-    def backward(self, grad: np.ndarray | float | None = None) -> None:
+    def backward(self, grad: np.ndarray | float | None = None,
+                 inputs: Iterable["Tensor"] | None = None) -> None:
         """Run reverse-mode accumulation from this tensor.
+
+        The pass consumes the graph: once a node's VJP has run, or the
+        node got no gradient, its closure and parent links are dropped,
+        so the arrays the tape saved are freed during the sweep. A
+        second backward that reaches a consumed node raises
+        :class:`GraphConsumedError` before any VJP runs.
 
         Parameters
         ----------
         grad:
             Seed gradient. Defaults to 1 for scalar outputs; required for
             non-scalar outputs.
+        inputs:
+            Leaf tensors to differentiate with respect to. Only nodes on
+            a path to them are swept, only they receive ``.grad``, and
+            ops skip the gradients of every other parent (weight GEMMs,
+            bias sums, LayerNorm reductions). The requested gradients
+            are bitwise-equal to those of a full backward. ``None``
+            differentiates every leaf with ``requires_grad=True``.
         """
         xp = _xp()
         if grad is None:
@@ -232,7 +297,47 @@ class Tensor:
         grad = xp.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             grad = xp.broadcast_to(grad, self.data.shape).copy()
+        if inputs is not None:
+            inputs = list(inputs)
+            for t in inputs:
+                if (not isinstance(t, Tensor) or not t.requires_grad
+                        or t._backward_fn is not None):
+                    raise ValueError("backward(inputs=...) takes leaf "
+                                     "tensors with requires_grad=True")
 
+        topo, visited = self._topological_order()
+        if inputs is None:
+            wanted = visited
+        else:
+            # topo lists parents before children: a node is on a path to
+            # the inputs when it is one or one of its parents is
+            targets = {id(t) for t in inputs}
+            wanted = set()
+            for node in topo:
+                if id(node) in targets or any(id(p) in wanted
+                                              for p in node._parents):
+                    wanted.add(id(node))
+
+        grads = _Gradients(wanted)
+        if id(self) in wanted:
+            grads[id(self)] = grad
+        while topo:
+            node = topo.pop()
+            g = grads.pop(id(node), None)
+            fn = node._backward_fn
+            if fn is None:
+                if g is not None:
+                    node.grad = g if node.grad is None else node.grad + g
+                continue
+            node._backward_fn = _consumed
+            node._parents = ()
+            if g is not None:
+                fn(g, grads)
+
+    def _topological_order(self) -> tuple[list["Tensor"], set[int]]:
+        """Nodes reachable from ``self`` through ``requires_grad`` edges,
+        parents before children (iterative: no recursion limit on deep
+        rollouts), and the set of their ids."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -243,33 +348,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _consumed:
+                raise GraphConsumedError(
+                    "backward() reached a tape node an earlier backward "
+                    "consumed; recompute the forward to differentiate again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
-
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward_fn is not None:
-                node._accumulate_parent_grads(g, grads)
-            else:
-                node.grad = g if node.grad is None else node.grad + g
-
-    def _accumulate_parent_grads(self, g: np.ndarray,
-                                 grads: dict[int, np.ndarray]) -> None:
-        """Invoke this node's VJP; the closure writes into ``grads``."""
-        self._backward_fn(g, grads)  # type: ignore[call-arg]
+        return topo, visited
 
     @staticmethod
-    def _add_grad(grads: dict[int, np.ndarray], parent: "Tensor",
+    def _add_grad(grads: _Gradients, parent: "Tensor",
                   g: np.ndarray) -> None:
-        if not parent.requires_grad:
-            return
         key = id(parent)
+        if key not in grads.wanted:
+            return
         if key in grads:
             grads[key] = grads[key] + g
         else:
@@ -359,7 +454,7 @@ class Tensor:
         xp = _xp()
 
         def backward(g, grads):
-            if a.requires_grad:
+            if grads.wants(a):
                 if b_data.ndim == 1:
                     ga = xp.outer(g, b_data) if a_data.ndim == 2 else g * b_data
                 else:
@@ -367,7 +462,7 @@ class Tensor:
                     if a_data.ndim == 1:
                         ga = ga.reshape(a_data.shape)
                 Tensor._add_grad(grads, a, _unbroadcast(xp.asarray(ga), a.shape))
-            if b.requires_grad:
+            if grads.wants(b):
                 if a_data.ndim == 1:
                     gb = xp.outer(a_data, g) if b_data.ndim == 2 else g * a_data
                 else:

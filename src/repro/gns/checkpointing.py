@@ -85,6 +85,12 @@ def checkpointed_rollout_gradient(
     loss_value = 0.0
 
     for seg in range(len(segment_steps) - 1, -1, -1):
+        if lambda_window is not None and not any(np.any(lam)
+                                                 for lam in lambda_window):
+            # zero adjoint: nothing flows into the earlier segments
+            lambda_window = [np.zeros_like(boundaries[seg][i])
+                             for i in range(window_len)]
+            continue
         in_frames = [Tensor(boundaries[seg][i].copy(), requires_grad=True)
                      for i in range(window_len)]
         mat_leaf = None if material is None else \
@@ -97,18 +103,16 @@ def checkpointed_rollout_gradient(
             objective = loss_fn(out_window[-1])
             loss_value = float(objective.data)
         else:
-            assert lambda_window is not None
             objective = None
             for frame, lam in zip(out_window, lambda_window):
                 if not np.any(lam):
                     continue
                 term = (frame * Tensor(lam)).sum()
                 objective = term if objective is None else objective + term
-            if objective is None:          # zero adjoint: nothing to do
-                lambda_window = [np.zeros_like(boundaries[seg][i])
-                                 for i in range(window_len)]
-                continue
-        objective.backward()
+        # the backward consumes this segment's tape, so it is freed before
+        # the next segment is re-taped (one segment's tape alive at a time)
+        leaves = in_frames if mat_leaf is None else in_frames + [mat_leaf]
+        objective.backward(inputs=leaves)
 
         if mat_leaf is not None and mat_leaf.grad is not None:
             material_grad += float(mat_leaf.grad)

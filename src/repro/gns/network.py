@@ -103,14 +103,15 @@ class InteractionNetwork(Module):
     def forward(self, nodes: Tensor, edges: Tensor,
                 senders: np.ndarray, receivers: np.ndarray,
                 collect_attention: list | None = None,
-                plan: SortedSegments | None = None
+                plan: SortedSegments | None = None,
+                sender_plan: SortedSegments | None = None
                 ) -> tuple[Tensor, Tensor]:
+        """``plan`` indexes by receiver, ``sender_plan`` by sender."""
         n = nodes.shape[0]
         if self.attention:
             # attention needs the explicit concatenated edge input for the
             # coefficient MLP, so it keeps the composite-op path
-            # the plan indexes by receiver, so only receiver-side ops use it
-            vs = gather(nodes, senders)
+            vs = gather(nodes, senders, plan=sender_plan)
             vr = gather(nodes, receivers, plan=plan)
             edge_in = concatenate([edges, vs, vr], axis=1)
             messages = self.edge_mlp(edge_in)
@@ -127,7 +128,9 @@ class InteractionNetwork(Module):
         # edge-sized concat, node-sized sender/receiver projections; the
         # node-side residual folds into the fused node MLP's tape node
         messages = fused_edge_mlp(edges, nodes, senders, receivers,
-                                  *self.edge_mlp.fused_params())
+                                  *self.edge_mlp.fused_params(),
+                                  sender_plan=sender_plan,
+                                  receiver_plan=plan)
         aggregated = scatter_add(messages, receivers, n, plan=plan)
         new_nodes = fused_node_mlp(nodes, aggregated,
                                    *self.node_mlp.fused_params(),
@@ -158,11 +161,14 @@ class EncodeProcessDecode(Module):
             nodes = self.node_encoder(graph.node_features)
             edges = self.edge_encoder(graph.edge_features)
         with span("process"):
-            # one receiver-sorted reduction plan shared by every block
+            # one receiver and one sender reduction plan shared by every
+            # block (the backward's segment sums reuse their matrices)
             plan = SortedSegments(graph.receivers, nodes.shape[0])
+            sender_plan = SortedSegments(graph.senders, nodes.shape[0])
             for block in self.blocks:
                 nodes, edges = block(nodes, edges, graph.senders,
-                                     graph.receivers, plan=plan)
+                                     graph.receivers, plan=plan,
+                                     sender_plan=sender_plan)
         with span("decode"):
             return self.decoder(nodes)
 
@@ -174,9 +180,11 @@ class EncodeProcessDecode(Module):
         nodes = self.node_encoder(graph.node_features)
         edges = self.edge_encoder(graph.edge_features)
         plan = SortedSegments(graph.receivers, nodes.shape[0])
+        sender_plan = SortedSegments(graph.senders, nodes.shape[0])
         for block in self.blocks:
             nodes, edges = block(nodes, edges, graph.senders, graph.receivers,
-                                 collect_attention=collected, plan=plan)
+                                 collect_attention=collected, plan=plan,
+                                 sender_plan=sender_plan)
         return self.decoder(nodes), collected
 
     def forward_numpy(self, node_features: np.ndarray, edge_features: np.ndarray,
@@ -337,10 +345,12 @@ class EncodeProcessDecode(Module):
         nodes = self.node_encoder(graph.node_features)
         edges = self.edge_encoder(graph.edge_features)
         plan = SortedSegments(graph.receivers, nodes.shape[0])
+        sender_plan = SortedSegments(graph.senders, nodes.shape[0])
         message_log: list[Tensor] = []
         for block in self.blocks:
             new_nodes, new_edges = block(nodes, edges, graph.senders,
-                                         graph.receivers, plan=plan)
+                                         graph.receivers, plan=plan,
+                                         sender_plan=sender_plan)
             message_log.append(new_edges - edges)  # the block's raw messages
             nodes, edges = new_nodes, new_edges
         return self.decoder(nodes), message_log

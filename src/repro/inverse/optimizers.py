@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import Tensor, no_grad
 from ..obs import get_registry, span
 
 __all__ = ["InversionRecord", "GradientDescentInverter", "finite_difference_gradient"]
@@ -60,7 +60,8 @@ class GradientDescentInverter:
     ----------
     objective:
         Maps a scalar Tensor (requires_grad) to a scalar loss Tensor.
-        The AD tape supplies ∂J/∂x.
+        The AD tape supplies ∂J/∂x; the backward differentiates only x,
+        so parameters the objective closes over keep their ``.grad``.
     lr: step size.
     bounds: optional (lo, hi) box projection after each step.
     grad_tol / loss_tol: convergence thresholds.
@@ -96,7 +97,7 @@ class GradientDescentInverter:
                 with span("forward"):
                     loss = self.objective(param)
                 with span("backward"):
-                    loss.backward()
+                    loss.backward(inputs=[param])
                 g = float(param.grad)
             if self.max_grad is not None:
                 g = float(np.clip(g, -self.max_grad, self.max_grad))
@@ -119,7 +120,8 @@ class GradientDescentInverter:
         record.iterations = max_iterations
         # record the final parameter reached
         record.parameters.append(x)
-        final = self.objective(Tensor(np.array(x)))
+        with no_grad():
+            final = self.objective(Tensor(np.array(x)))
         record.losses.append(float(final.data))
         record.gradients.append(float("nan"))
         return record

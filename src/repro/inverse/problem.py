@@ -122,7 +122,7 @@ class RunoutInverseProblem:
         with no_grad():
             frames = self.simulator.rollout(self.initial_history,
                                             self.rollout_steps, material=phi)
-        soft = float(self.simulated_runout(Tensor(np.array(phi))).data)
+            soft = float(self.simulated_runout(Tensor(np.array(phi))).data)
         return {
             "phi": phi,
             "hard_runout": hard_runout(frames[-1], self.toe_x, quantile=1.0),

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import Tensor, no_grad
 
 __all__ = ["VectorInversionRecord", "AdamInverter"]
 
@@ -74,7 +74,7 @@ class AdamInverter:
         for it in range(max_iterations):
             param = Tensor(x.copy(), requires_grad=True)
             loss = self.objective(param)
-            loss.backward()
+            loss.backward(inputs=[param])
             g = param.grad * scales        # gradient in normalized units
 
             record.parameters.append(x.copy())
@@ -97,7 +97,8 @@ class AdamInverter:
 
         record.iterations = max_iterations
         record.parameters.append(x.copy())
-        final = self.objective(Tensor(x.copy()))
+        with no_grad():
+            final = self.objective(Tensor(x.copy()))
         record.losses.append(float(final.data))
         record.gradients.append(np.full_like(x, np.nan))
         return record

@@ -13,6 +13,7 @@ Dtype discipline (DTY)
 Autodiff contracts (ADF)
     ADF001  tape op registered without a local VJP closure
     ADF002  differentiable kernel without a gradcheck cross-reference
+    ADF003  VJP tests ``.requires_grad`` instead of the sweep's check
 
 Conventions (CNV)
     CNV001  telemetry metric/span naming (+ cross-file kind consistency)
@@ -248,6 +249,20 @@ def _local_defs(fn: ast.AST) -> set[str]:
     return names
 
 
+def _vjp_argument(call: ast.Call) -> ast.AST | None:
+    """The backward argument of a ``Tensor._make`` call, if any."""
+    if len(call.args) >= 3:
+        return call.args[2]
+    for kw in call.keywords:
+        if kw.arg == "backward_fn":
+            return kw.value
+    return None
+
+
+def _in_autodiff(source: SourceFile) -> bool:
+    return "autodiff" in source.rel.replace("\\", "/").split("/")
+
+
 @rule("ADF001", "vjp-complete", scope="project")
 def adf001(sources, ref_sources, config: LintConfig):
     """Every tape op registered through ``Tensor._make`` must pass a VJP
@@ -255,7 +270,7 @@ def adf001(sources, ref_sources, config: LintConfig):
     argument means a primitive exists whose gradient silently never
     flows — the inverse problem would converge to garbage."""
     for source in sources:
-        if "autodiff" not in source.rel.replace("\\", "/").split("/"):
+        if not _in_autodiff(source):
             continue
         for fn in ast.walk(source.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -264,13 +279,7 @@ def adf001(sources, ref_sources, config: LintConfig):
             for call in _walk_calls(fn):
                 if not _is_make_call(call):
                     continue
-                backward_arg = None
-                if len(call.args) >= 3:
-                    backward_arg = call.args[2]
-                else:
-                    for kw in call.keywords:
-                        if kw.arg == "backward_fn":
-                            backward_arg = kw.value
+                backward_arg = _vjp_argument(call)
                 if backward_arg is None:
                     yield (source, *_loc(call),
                            "tape op registered without a VJP argument")
@@ -280,6 +289,52 @@ def adf001(sources, ref_sources, config: LintConfig):
                                f"VJP '{backward_arg.id}' is not defined in "
                                f"the registering scope")
                 # Lambda / attribute VJPs are accepted as-is
+
+
+def _vjp_functions(tree: ast.AST) -> list[ast.AST]:
+    """Functions that run inside a backward sweep: every closure or
+    lambda registered as a VJP through ``Tensor._make``, and every
+    function that receives the sweep's gradient mapping as ``grads``."""
+    found: dict[int, ast.AST] = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        args = fn.args
+        if "grads" in {a.arg for a in args.posonlyargs + args.args
+                       + args.kwonlyargs}:
+            found[id(fn)] = fn
+        if isinstance(fn, ast.Lambda):
+            continue
+        local = {node.name: node for node in ast.walk(fn)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node is not fn}
+        for call in _walk_calls(fn):
+            arg = _vjp_argument(call) if _is_make_call(call) else None
+            if isinstance(arg, ast.Lambda):
+                found[id(arg)] = arg
+            elif isinstance(arg, ast.Name) and arg.id in local:
+                found[id(local[arg.id])] = local[arg.id]
+    return list(found.values())
+
+
+@rule("ADF003", "vjp-pruning")
+def adf003(source: SourceFile, config: LintConfig):
+    """A VJP under ``autodiff/`` decides which parents to differentiate
+    with the sweep's ``grads.wants(t)``, never ``t.requires_grad``:
+    ``backward(inputs=...)`` prunes parents that still require grad
+    (the GNS weights during an inversion), and a VJP that tests the
+    flag computes the pruned weight GEMMs anyway."""
+    if not _in_autodiff(source):
+        return
+    for fn in _vjp_functions(source.tree):
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "requires_grad"
+                    and isinstance(node.ctx, ast.Load)):
+                yield (*_loc(node), "VJP tests '.requires_grad' — ask the "
+                       "sweep with 'grads.wants(t)' so backward(inputs=...) "
+                       "pruning holds")
 
 
 def _tape_op_names(sources) -> dict[str, tuple[SourceFile, int]]:

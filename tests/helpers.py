@@ -1,6 +1,9 @@
-"""Shared test utilities: numerical gradient checking."""
+"""Shared test utilities: numerical gradient checking, traced memory."""
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import numpy as np
 
@@ -41,3 +44,40 @@ def check_grad(build_loss, x0: np.ndarray, rtol: float = 1e-5, atol: float = 1e-
 
     num = numerical_grad(f, x0, eps=eps)
     np.testing.assert_allclose(t.grad, num, rtol=rtol, atol=atol)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def steady_material_sim():
+    """Untrained material-conditioned GNS with a tiny acceleration scale:
+    particles barely move, so every step's graph, and so its tape, has
+    the same size (memory tests compare tapes of different lengths)."""
+    from repro.gns import (FeatureConfig, GNSNetworkConfig, LearnedSimulator,
+                           Stats)
+
+    fc = FeatureConfig(connectivity_radius=0.12, history=2,
+                       bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+                       use_material=True, dim=2)
+    nc = GNSNetworkConfig(latent_size=16, mlp_hidden_size=16,
+                          mlp_hidden_layers=1, message_passing_steps=2)
+    zero = np.zeros(2)
+    stats = Stats(zero.copy(), np.full(2, 1e-3), zero.copy(),
+                  np.full(2, 1e-5))
+    return LearnedSimulator(fc, nc, stats, rng=np.random.default_rng(0))
+
+
+def steady_seed_frames(n: int = 40) -> np.ndarray:
+    """``(3, n, 2)`` seed frames of a small particle block."""
+    rng = np.random.default_rng(0)
+    base = np.stack([rng.uniform(0.1, 0.5, n), rng.uniform(0.1, 0.5, n)],
+                    axis=1)
+    return np.stack([base, base + 0.001, base + 0.002])

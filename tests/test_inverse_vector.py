@@ -63,6 +63,26 @@ class TestAdamInverterAnalytic:
         assert len(rec.parameters) == len(rec.losses)
         assert len(rec.gradients) == len(rec.losses)
 
+    def test_final_objective_records_no_tape(self):
+        w = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        returned = []
+
+        def obj(x):
+            d = x * w - Tensor(np.array([1.0, 1.0]))
+            out = (d * d).sum()
+            returned.append(out)
+            return out
+
+        rec = AdamInverter(obj, lr=0.1).solve(np.array([1.0, 1.0]),
+                                              max_iterations=3)
+        assert len(returned) == 4
+        assert returned[-1]._backward_fn is None
+        assert not returned[-1].requires_grad
+        taped = obj(Tensor(rec.final_parameters.copy(), requires_grad=True))
+        assert rec.losses[-1] == float(taped.data)
+        # only the parameter vector is differentiated
+        assert w.grad is None
+
 
 class TestJointPhysicalInversion:
     """Recover (gravity magnitude, initial x-velocity) jointly from the

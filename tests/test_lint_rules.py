@@ -145,6 +145,44 @@ def test_adf002_gradcheck_coverage():
                   rel=rel, refs=uncovered)
 
 
+def test_adf003_vjp_tests_requires_grad():
+    bad = ("def op(x, w):\n"
+           "    def backward(g, grads):\n"
+           "        if w.requires_grad:\n"
+           "            Tensor._add_grad(grads, w, x.data.T @ g)\n"
+           "    return Tensor._make(x.data @ w.data, (x, w), backward)\n")
+    # a VJP whose mapping is not named `grads` is still found via _make
+    renamed = ("def op(x):\n"
+               "    def vjp(g, acc):\n"
+               "        if x.requires_grad:\n"
+               "            Tensor._add_grad(acc, x, g)\n"
+               "    return Tensor._make(x.data, (x,), vjp)\n")
+    lam = ("def op(x):\n"
+           "    return Tensor._make(x.data, (x,),\n"
+           "        lambda g, acc: x.requires_grad and acc.update({}))\n")
+    # helpers that receive the sweep's mapping are VJP code too
+    helper = ("def _tail(g, saved, weight, grads):\n"
+              "    if weight.requires_grad:\n"
+              "        Tensor._add_grad(grads, weight, saved @ g)\n"
+              "    return g\n")
+    good = bad.replace("w.requires_grad", "grads.wants(w)")
+    rel = "src/repro/autodiff/ops.py"
+    for text in (bad, renamed, lam, helper):
+        assert_fires("ADF003", text, rel=rel)
+    assert_silent("ADF003", good, rel=rel)
+    # forward-time checks and flag writes are not VJP decisions
+    assert_silent("ADF003",
+                  "def op(x):\n"
+                  "    needs = x.requires_grad\n"
+                  "    def backward(g, grads):\n"
+                  "        Tensor._add_grad(grads, x, g)\n"
+                  "    return Tensor._make(x.data, (x,), backward)\n"
+                  "def freeze(t):\n"
+                  "    t.requires_grad = False\n", rel=rel)
+    # outside autodiff/ the contract does not apply
+    assert_silent("ADF003", bad, rel="src/repro/gns/ops.py")
+
+
 # ---------------------------------------------------------------- CNV rules
 
 def test_cnv001_metric_and_span_naming():
