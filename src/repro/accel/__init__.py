@@ -1,11 +1,15 @@
-"""Optional CPU acceleration kernels for the float32 inference fast path.
+"""Optional CPU acceleration kernels: the float32 inference fast path
+and the float64 MPM step.
 
-The package compiles a small set of fused elementwise C kernels at runtime
-(via cffi + the system C compiler) and exposes them behind a feature gate:
-every call site keeps a pure-NumPy fallback, so the kernels are a strict
-speed-up, never a requirement.  See :mod:`repro.accel.cpu`.
+The package compiles a small set of C kernels at runtime (via cffi + the
+system C compiler) and exposes them behind a feature gate: every call
+site keeps a pure-NumPy fallback, so the kernels are a strict speed-up,
+never a requirement. See :mod:`repro.accel.cpu`.
 """
 
-from .cpu import CpuKernels, available, kernels
+from .cpu import (
+    CpuKernels, available, build_error, kernels, toolchain_missing,
+)
 
-__all__ = ["CpuKernels", "available", "kernels"]
+__all__ = ["CpuKernels", "available", "build_error", "kernels",
+           "toolchain_missing"]

@@ -3,7 +3,7 @@
 This is the determinism reference every other backend is tested
 against — its primitives *are* the NumPy calls the rest of the codebase
 used to make directly, so selecting it reproduces pre-registry numbers
-bit for bit. It never dispatches to compiled float32 kernels
+bit for bit. It never dispatches to compiled kernels
 (:meth:`float32_kernels` is ``None``), which is what makes
 ``REPRO_BACKEND=numpy`` the single kill switch for all acceleration.
 """

@@ -12,8 +12,8 @@ backend bundles
 * explicit host-boundary transfers (:meth:`ArrayBackend.to_host` /
   :meth:`ArrayBackend.from_host`) so device arrays cross into the
   float64 integration / IO world at named points only, and
-* an optional handle to compiled float32 kernels
-  (:meth:`ArrayBackend.float32_kernels`).
+* an optional handle to compiled kernels — the float32 inference
+  kernels and the float64 MPM step (:meth:`ArrayBackend.float32_kernels`).
 
 Selection
 ---------
@@ -22,7 +22,7 @@ Selection
 :meth:`~repro.gns.simulator.LearnedSimulator.rollout` and
 :class:`~repro.mpm.solver.MPMSolver` take precedence over the
 environment. The default is ``"accel"`` — NumPy semantics plus the
-compiled float32 CPU kernels when the toolchain allows. ``"numpy"`` is
+compiled CPU kernels when the toolchain allows. ``"numpy"`` is
 the determinism reference: pure NumPy everywhere, and it also implies
 ``REPRO_NO_CKERNELS`` (one knob disables all acceleration).
 
@@ -141,9 +141,13 @@ class ArrayBackend:
 
     # -- compiled kernels ----------------------------------------------
     def float32_kernels(self):
-        """Handle to fused float32 kernels, or ``None``. The float64
-        path never consults this (bitwise contract); tape mode never
-        consults this (the VJPs need the NumPy intermediates)."""
+        """Handle to the compiled kernels (:class:`repro.accel.CpuKernels`:
+        fused float32 inference kernels and the float64 MPM step), or
+        ``None``. A float64 kernel must be bitwise-equal to the NumPy path
+        it replaces: compiled with ``-ffp-contract=off`` and pinned by a
+        frozen NumPy oracle (``tests/test_mpm_transfer.py``). The float64
+        GNS inference path has no kernels; tape mode never consults this
+        (the VJPs need the NumPy intermediates)."""
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -8,7 +8,9 @@ solver (E4).
 from .grid import BoxBoundary, Grid
 from .materials import DruckerPrager, LinearElastic, Material, NewtonianFluid
 from .particles import Particles
-from .shape import LinearShape, QuadraticShape, make_shape
+from .shape import (
+    LinearShape, ParticleOutsideGridError, QuadraticShape, make_shape,
+)
 from .solver import MPMConfig, MPMSolver
 from .diff_solver import DifferentiableMPM, DiffMPMConfig, DiffMPMState
 from .scenarios import (
@@ -21,7 +23,7 @@ __all__ = [
     "BoxBoundary", "Grid",
     "DifferentiableMPM", "DiffMPMConfig", "DiffMPMState",
     "DruckerPrager", "LinearElastic", "Material", "NewtonianFluid",
-    "Particles",
+    "ParticleOutsideGridError", "Particles",
     "LinearShape", "QuadraticShape", "make_shape",
     "MPMConfig", "MPMSolver",
     "ScenarioSpec", "apply_geostatic_stress", "dam_break", "elastic_block_bounce",

@@ -15,7 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ShapeFunction", "LinearShape", "QuadraticShape", "make_shape"]
+__all__ = ["ParticleOutsideGridError", "ShapeFunction", "LinearShape",
+           "QuadraticShape", "make_shape"]
+
+
+class ParticleOutsideGridError(ValueError):
+    """A particle's position is not finite, or its shape-function support
+    reaches past the grid's nodes. The solver raises it before a step
+    changes any state."""
+
+    @classmethod
+    def at(cls, particle: int,
+           positions: np.ndarray) -> "ParticleOutsideGridError":
+        return cls(f"particle {particle} at {positions[particle].tolist()}:"
+                   f" position not finite or shape-function support "
+                   f"outside the grid")
 
 
 @dataclass
@@ -49,6 +63,18 @@ class ShapeFunction:
         raise NotImplementedError
 
 
+def _support_base(lowest: np.ndarray, m: int, grid_dims: tuple[int, int],
+                  positions: np.ndarray) -> np.ndarray:
+    """``lowest`` — each particle's floored first support node per axis —
+    as int64, once all ``m`` support nodes per axis are known to be grid
+    nodes (a NaN position fails the check; its node ids would wrap)."""
+    inside = (lowest >= 0) & (lowest <= np.subtract(grid_dims, m))
+    if not inside.all():
+        bad = int(np.flatnonzero(~inside.all(axis=1))[0])
+        raise ParticleOutsideGridError.at(bad, positions)
+    return lowest.astype(np.int64)
+
+
 def _tensor_product(base: np.ndarray, w1d: np.ndarray, dw1d: np.ndarray,
                     ny: int) -> ShapeKernel:
     """Combine per-axis 1-D weights ``(m, n, 2)`` at the ``m`` nodes from
@@ -78,7 +104,7 @@ class LinearShape(ShapeFunction):
                  grid_dims: tuple[int, int]) -> ShapeKernel:
         pos = np.asarray(positions, dtype=np.float64)
         xi = pos / h
-        base = np.floor(xi).astype(np.int64)          # (n, 2)
+        base = _support_base(np.floor(xi), 2, grid_dims, pos)   # (n, 2)
         frac = xi - base                               # local coordinate in [0,1)
 
         # 1-D weights/gradients for offsets {0, 1} in each dimension
@@ -108,7 +134,8 @@ class QuadraticShape(ShapeFunction):
         pos = np.asarray(positions, dtype=np.float64)
         n = pos.shape[0]
         xi = pos / h
-        base = np.floor(xi - 0.5).astype(np.int64)     # leftmost of 3 nodes
+        # leftmost of 3 nodes
+        base = _support_base(np.floor(xi - 0.5), 3, grid_dims, pos)
 
         # signed distance from particle to each of the 3 nodes per dim
         w1d = np.empty((3, n, 2), dtype=np.float64)

@@ -17,6 +17,13 @@ reproduce, bit for bit, the accumulation order of ``np.add.at`` scatters
 and ``einsum`` gathers over particle-major ``(n, k, 2)`` arrays; see
 "Transfer layout" in ``docs/mpm.md``. The only Python-level loops are
 over the 4/9 offsets and the two axes.
+
+When the solver's backend has compiled kernels (the default ``accel``
+backend with a C toolchain), the shape evaluation, P2G, grid update and
+G2P each run as one float64 C call (:mod:`repro.accel.cpu`) that repeats
+the NumPy step's arithmetic in its order, so trajectories are
+bitwise-equal either way; ``backend="numpy"`` runs the NumPy step, the
+oracle. The constitutive update is NumPy on both paths.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ from ..utils.buffers import Workspace
 from .grid import BoxBoundary, Grid
 from .materials import Material
 from .particles import Particles
-from .shape import ShapeFunction, make_shape
+from .shape import (
+    ParticleOutsideGridError, QuadraticShape, ShapeFunction, make_shape,
+)
 
 __all__ = ["MPMConfig", "MPMSolver"]
 
@@ -145,12 +154,32 @@ class MPMSolver:
         """Advance one explicit step; returns the dt actually used.
 
         The three phases are traced as ``mpm/p2g``, ``mpm/grid``, and
-        ``mpm/g2p`` spans (no-ops unless global tracing is on).
+        ``mpm/g2p`` spans (no-ops unless global tracing is on). Raises
+        :class:`ParticleOutsideGridError`, before any state changes, when
+        a position is not finite or its shape-function support leaves
+        the grid. ``positions``, ``velocities`` and ``volumes`` are
+        rebound to new arrays, never written in place.
         """
+        dt = float(dt if dt is not None else self.stable_dt())
+        kern = self.backend.float32_kernels()
+        if kern is None:
+            self._step_numpy(dt)
+        else:
+            self._step_compiled(kern, dt)
+        self.time += dt
+        self.step_count += 1
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter("mpm.steps").inc()
+            reg.gauge("mpm.dt").set(dt)
+            reg.gauge("mpm.num_particles").set(self.particles.count)
+        return dt
+
+    def _step_numpy(self, dt: float) -> None:
+        """The step in NumPy: the reference the compiled kernels match."""
         p = self.particles
         g = self.grid
         xp = self.backend.xp
-        dt = float(dt if dt is not None else self.stable_dt())
 
         kernel = self.shape(p.positions, g.spacing, g.node_dims)
         nodes, w, dw = kernel.nodes, kernel.weights, kernel.grads
@@ -238,26 +267,75 @@ class MPMSolver:
 
             tr = strain_inc[:, 0, 0] + strain_inc[:, 1, 1]
             p.volumes = p.volumes * (1.0 + tr)
+            self._update_stress(strain_inc, spin_inc, dt)
 
-            for mat_id, mat in self.materials.items():
-                sel = p.material_ids == mat_id
-                if not np.any(sel):
-                    continue
-                s_new, szz_new = mat.update_stress(
-                    p.stresses[sel], p.sigma_zz[sel], strain_inc[sel],
-                    spin_inc[sel],
-                    jacobian=p.volumes[sel] / p.initial_volumes[sel], dt=dt)
-                p.stresses[sel] = s_new
-                p.sigma_zz[sel] = szz_new
+    def _step_compiled(self, kern, dt: float) -> None:
+        """The step as four float64 kernels of ``kern``
+        (:class:`repro.accel.CpuKernels`), bitwise-equal to
+        :meth:`_step_numpy`."""
+        p = self.particles
+        g = self.grid
+        f64 = np.float64
 
-        self.time += dt
-        self.step_count += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("mpm.steps").inc()
-            reg.gauge("mpm.dt").set(dt)
-            reg.gauge("mpm.num_particles").set(p.positions.shape[0])
-        return dt
+        def c64(a):
+            return np.ascontiguousarray(a, dtype=f64)
+
+        pos = c64(p.positions)
+        n = pos.shape[0]
+        k = self.shape.nodes_per_particle
+        # particle-major (n, k) pairs: a particle's pairs are adjacent
+        nodes = self._work.get("shape.nodes", (n, k), np.int64)
+        w = self._work.get("shape.weights", (n, k), f64)
+        dw = self._work.get("shape.grads", (n, k, 2), f64)
+        bad = kern.mpm_shape(isinstance(self.shape, QuadraticShape), pos,
+                             g.spacing, g.node_dims, nodes, w, dw)
+        if bad >= 0:
+            raise ParticleOutsideGridError.at(bad, pos)
+        vel, vol = c64(p.velocities), c64(p.volumes)
+
+        with span("mpm/p2g"):
+            kern.mpm_p2g(nodes, w, dw, c64(p.masses), vel, vol,
+                         c64(p.stresses), self._gravity, g.mass, g.momentum,
+                         g.force)
+
+        with span("mpm/grid"):
+            v_new = self._work.get("grid.v_new", (g.num_nodes, 2), f64)
+            dv_grid = self._work.get("grid.dv", (g.num_nodes, 2), f64)
+            b = g.boundary
+            kern.mpm_grid(g.mass, g.momentum, g.force, g.node_dims, dt,
+                          b.mode, b.friction, b.thickness, g.obstacle_mask,
+                          v_new, dv_grid)
+
+        with span("mpm/g2p"):
+            margin = g.interior_margin()
+            out_vel = np.empty((n, 2), dtype=f64)
+            out_pos = np.empty((n, 2), dtype=f64)
+            out_vol = np.empty(n, dtype=f64)
+            strain_inc = self._work.get("g2p.strain", (n, 2, 2), f64)
+            spin_inc = self._work.get("g2p.spin", (n, 2, 2), f64)
+            kern.mpm_g2p(nodes, w, dw, v_new, dv_grid, vel, pos, vol,
+                         self.config.flip, dt,
+                         (margin, g.size[0] - margin,
+                          margin, g.size[1] - margin),
+                         out_vel, out_pos, out_vol, strain_inc, spin_inc)
+            p.velocities, p.positions, p.volumes = out_vel, out_pos, out_vol
+            self._update_stress(strain_inc, spin_inc, dt)
+
+    def _update_stress(self, strain_inc: np.ndarray, spin_inc: np.ndarray,
+                       dt: float) -> None:
+        """Constitutive update of every material's particles (USL); runs
+        after the volumes were updated, which the Jacobian reads."""
+        p = self.particles
+        for mat_id, mat in self.materials.items():
+            sel = p.material_ids == mat_id
+            if not np.any(sel):
+                continue
+            s_new, szz_new = mat.update_stress(
+                p.stresses[sel], p.sigma_zz[sel], strain_inc[sel],
+                spin_inc[sel],
+                jacobian=p.volumes[sel] / p.initial_volumes[sel], dt=dt)
+            p.stresses[sel] = s_new
+            p.sigma_zz[sel] = szz_new
 
     # ------------------------------------------------------------------
     def run(self, num_steps: int, dt: float | None = None,

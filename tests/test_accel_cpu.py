@@ -1,7 +1,10 @@
-"""Runtime-compiled float32 C kernels (:mod:`repro.accel`): parity with
-the numpy reference, IEEE semantics (NaN propagation), and the input
-validation contract. All parity tests are skipped when no C toolchain
-is available — the numpy fallback is what runs then anyway."""
+"""Runtime-compiled C kernels (:mod:`repro.accel`): parity with the
+numpy reference, IEEE semantics (NaN propagation), and the input
+validation contract. The module is skipped only where the kernels are
+legitimately absent — no C compiler, no cffi, or a kill switch set; the
+numpy fallback is what runs then anyway. A kernel build that fails on a
+working toolchain fails these tests with the compiler's output instead
+of skipping them."""
 
 from __future__ import annotations
 
@@ -9,12 +12,41 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.accel import available, kernels
+from repro.accel import build_error, kernels, toolchain_missing
 
-pytestmark = pytest.mark.skipif(not available(),
-                                reason="no C toolchain / cffi")
+pytestmark = pytest.mark.skipif(toolchain_missing() is not None,
+                                reason=str(toolchain_missing()))
 
 RNG = np.random.default_rng(3)
+
+
+def _kernels():
+    kern = kernels()
+    assert kern is not None, f"kernel build failed:\n{build_error()}"
+    return kern
+
+
+def test_kernels_build():
+    """A working toolchain must produce the kernels."""
+    _kernels()
+
+
+def test_failed_build_is_reported(monkeypatch, tmp_path):
+    """A compile error leaves ``kernels()`` at ``None`` (the numpy
+    fallback) and keeps the compiler's stderr for ``build_error()``."""
+    from repro.accel import cpu
+
+    monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path))
+    monkeypatch.setattr(cpu, "_UNITS", (
+        ("broken", "int repro_broken(void) { return undeclared_name; }\n",
+         ()),) + cpu._UNITS)
+    monkeypatch.setattr(cpu, "_TRIED", False)
+    monkeypatch.setattr(cpu, "_KERNELS", None)
+    monkeypatch.setattr(cpu, "_BUILD_ERROR", None)
+    assert cpu.toolchain_missing() is None
+    assert cpu.kernels() is None
+    assert "CalledProcessError" in cpu.build_error()
+    assert "undeclared_name" in cpu.build_error()
 
 
 def _f32(shape):
@@ -23,21 +55,21 @@ def _f32(shape):
 
 class TestElementwise:
     def test_relu_matches_numpy(self):
-        kern = kernels()
+        kern = _kernels()
         h = _f32((40, 16))
         expect = np.maximum(h, 0.0)
         kern.relu(h)
         np.testing.assert_array_equal(h, expect)
 
     def test_relu_propagates_nan(self):
-        kern = kernels()
+        kern = _kernels()
         h = _f32((4, 4))
         h[1, 2] = np.nan
         kern.relu(h)
         assert np.isnan(h[1, 2])
 
     def test_bias_relu(self):
-        kern = kernels()
+        kern = _kernels()
         h = _f32((30, 8))
         b = _f32(8)
         expect = np.maximum(h + b, 0.0)
@@ -45,7 +77,7 @@ class TestElementwise:
         np.testing.assert_array_equal(h, expect)
 
     def test_ln_close_to_f64_reference(self):
-        kern = kernels()
+        kern = _kernels()
         h = _f32((50, 32))
         gamma, beta = _f32(32), _f32(32)
         x = h.astype(np.float64)
@@ -56,7 +88,7 @@ class TestElementwise:
         np.testing.assert_allclose(h, ref, atol=5e-6)
 
     def test_bias_ln(self):
-        kern = kernels()
+        kern = _kernels()
         h = _f32((20, 16))
         b, gamma, beta = _f32(16), _f32(16), _f32(16)
         x = (h.astype(np.float64) + b)
@@ -67,7 +99,7 @@ class TestElementwise:
         np.testing.assert_allclose(h, ref, atol=5e-6)
 
     def test_ln_propagates_nan(self):
-        kern = kernels()
+        kern = _kernels()
         h = _f32((3, 8))
         h[0, 0] = np.nan
         kern.ln(h, np.ones(8, np.float32), np.zeros(8, np.float32), 1e-5)
@@ -77,7 +109,7 @@ class TestElementwise:
 
 class TestGraphKernels:
     def test_gather2_add_relu(self):
-        kern = kernels()
+        kern = _kernels()
         e, n, w = 60, 12, 16
         senders = RNG.integers(0, n, size=e)
         receivers = RNG.integers(0, n, size=e)
@@ -88,7 +120,7 @@ class TestGraphKernels:
         np.testing.assert_array_equal(h, expect)
 
     def test_gather2_add_no_relu(self):
-        kern = kernels()
+        kern = _kernels()
         e, n, w = 20, 6, 8
         senders = RNG.integers(0, n, size=e)
         receivers = RNG.integers(0, n, size=e)
@@ -99,7 +131,7 @@ class TestGraphKernels:
         np.testing.assert_array_equal(h, expect)
 
     def test_segment_sum_bitwise_vs_csr(self):
-        kern = kernels()
+        kern = _kernels()
         e, n, w = 120, 25, 8
         idx = np.sort(RNG.integers(0, n, size=e))
         msgs = _f32((e, w))
@@ -113,7 +145,7 @@ class TestGraphKernels:
         np.testing.assert_array_equal(out, expect)
 
     def test_segment_sum_empty_segments(self):
-        kern = kernels()
+        kern = _kernels()
         idx = np.array([1, 1, 3])
         msgs = _f32((3, 4))
         indptr = np.searchsorted(idx, np.arange(6)).astype(np.int64)
@@ -127,18 +159,18 @@ class TestGraphKernels:
 
 class TestValidation:
     def test_wrong_dtype_rejected(self):
-        kern = kernels()
+        kern = _kernels()
         with pytest.raises(TypeError):
             kern.relu(np.ones((3, 3), dtype=np.float64))
 
     def test_non_contiguous_rejected(self):
-        kern = kernels()
+        kern = _kernels()
         h = np.ones((6, 6), dtype=np.float32)[:, ::2]
         with pytest.raises(TypeError):
             kern.relu(h)
 
     def test_bad_indptr_rejected(self):
-        kern = kernels()
+        kern = _kernels()
         msgs = np.ones((3, 2), dtype=np.float32)
         indptr = np.array([0, 1, 2], dtype=np.int64)  # [-1] != e
         out = np.empty((2, 2), dtype=np.float32)
@@ -154,3 +186,70 @@ def test_kill_switch(monkeypatch):
     monkeypatch.setattr(cpu, "_TRIED", False)
     monkeypatch.setattr(cpu, "_KERNELS", None)
     assert cpu.kernels() is None
+
+
+class TestMpmKernels:
+    """The float64 MPM kernels' contract beyond the step-level bitwise
+    gate in ``tests/test_mpm_transfer.py``."""
+
+    DIMS = (11, 9)
+    H = 0.1
+
+    def _pos(self, n):
+        return RNG.uniform(0.25, 0.75, size=(n, 2))
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_shape_equals_numpy_kernel_transposed(self, quadratic):
+        from repro.mpm import make_shape
+        pos = self._pos(37)
+        ref = make_shape("quadratic" if quadratic else "linear")(
+            pos, self.H, self.DIMS)
+        k = ref.nodes.shape[0]
+        nodes = np.empty((37, k), dtype=np.int64)
+        w = np.empty((37, k), dtype=np.float64)
+        dw = np.empty((37, k, 2), dtype=np.float64)
+        assert _kernels().mpm_shape(quadratic, pos, self.H, self.DIMS,
+                                    nodes, w, dw) == -1
+        assert np.array_equal(nodes, ref.nodes.T)
+        assert np.array_equal(w, ref.weights.T)
+        assert np.array_equal(dw, ref.grads.transpose(2, 1, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.05])
+    def test_shape_names_first_particle_off_grid(self, bad):
+        pos = self._pos(6)
+        pos[4, 1] = bad
+        pos[5, 0] = bad
+        out = (np.empty((6, 9), dtype=np.int64), np.empty((6, 9)),
+               np.empty((6, 9, 2)))
+        assert _kernels().mpm_shape(True, pos, self.H, self.DIMS,
+                                    *out) == 4
+
+    def test_node_ids_off_grid_raise(self):
+        kern = _kernels()
+        n, k, nn = 3, 4, 20
+        nodes = np.zeros((n, k), dtype=np.int64)
+        nodes[1, 2] = nn
+        w, dw = np.full((n, k), 0.25), np.zeros((n, k, 2))
+        ones, vec, ten = np.ones(n), np.zeros((n, 2)), np.zeros((n, 2, 2))
+        grid = np.zeros(nn), np.zeros((nn, 2)), np.zeros((nn, 2))
+        with pytest.raises(IndexError, match="pair 6"):
+            kern.mpm_p2g(nodes, w, dw, ones, vec, ones, ten, (0.0, -9.81),
+                         *grid)
+        nodes[1, 2] = -1
+        with pytest.raises(IndexError, match="pair 6"):
+            kern.mpm_g2p(nodes, w, dw, grid[1], grid[2], vec, vec, ones,
+                         0.98, 1e-3, (0.0, 1.0, 0.0, 1.0), np.empty((n, 2)),
+                         np.empty((n, 2)), np.empty(n), np.empty((n, 2, 2)),
+                         np.empty((n, 2, 2)))
+
+    def test_float32_and_strided_rejected(self):
+        kern = _kernels()
+        out = (np.empty((4, 9), dtype=np.int64), np.empty((4, 9)),
+               np.empty((4, 9, 2)))
+        with pytest.raises(TypeError):
+            kern.mpm_shape(True, self._pos(4).astype(np.float32), self.H,
+                           self.DIMS, *out)
+        with pytest.raises(TypeError):
+            kern.mpm_shape(True, self._pos(8)[::2], self.H, self.DIMS, *out)
+        with pytest.raises(ValueError):
+            kern.mpm_shape(True, self._pos(5), self.H, self.DIMS, *out)

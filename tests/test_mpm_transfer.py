@@ -1,19 +1,23 @@
-"""Bitwise gate for the offset-major MPM transfers.
+"""Bitwise gate for the MPM step on both of its paths.
 
 ``_reference_step`` is a frozen copy of ``MPMSolver.step`` as it was
 written before the transfers moved to offset-major arrays: particle-major
 ``(n, k)`` kernels, ``np.add.at`` scatters and ``einsum`` gathers. The
 production step must reproduce its trajectories exactly, so every
-particle field is compared with ``np.array_equal`` after many steps.
+particle field is compared with ``np.array_equal`` after many steps —
+once on the NumPy backend and once on ``accel``, whose step runs the
+compiled float64 kernels of :mod:`repro.accel.cpu`.
 """
 
 import numpy as np
 import pytest
 
+from repro.accel import CpuKernels, build_error, kernels, toolchain_missing
 from repro.mpm import (
-    BoxBoundary, DruckerPrager, Grid, MPMConfig, MPMSolver, Particles,
-    dam_break, elastic_block_bounce, flow_around_obstacle, granular_box_flow,
-    granular_column_collapse, water_on_sand,
+    BoxBoundary, DruckerPrager, Grid, MPMConfig, MPMSolver,
+    ParticleOutsideGridError, Particles, dam_break, elastic_block_bounce,
+    flow_around_obstacle, granular_box_flow, granular_column_collapse,
+    water_on_sand,
 )
 
 CELLS = 12
@@ -84,6 +88,19 @@ def _linear_column():
     return MPMSolver(s.grid, s.particles, s.materials, MPMConfig(shape="linear"))
 
 
+def _sticky_column():
+    s = granular_column_collapse(cells_per_unit=CELLS).solver
+    s.grid.boundary = BoxBoundary(mode="sticky")
+    return s
+
+
+def _bench_column():
+    """The ``hybrid-column`` benchmark's 1024-particle column."""
+    return granular_column_collapse(
+        aspect_ratio=1.0, column_width=0.5, cells_per_unit=32,
+        particles_per_cell=2, youngs_modulus=5e7).solver
+
+
 def _few_particles(n):
     """``n`` particles with random velocities and stresses, so every
     transfer term is non-trivial."""
@@ -104,6 +121,8 @@ def _few_particles(n):
 SCENARIOS = {
     "column": lambda: granular_column_collapse(cells_per_unit=CELLS).solver,
     "column-linear": _linear_column,
+    "column-sticky": _sticky_column,
+    "bench-column": _bench_column,
     "box-flow": lambda: granular_box_flow(seed=0, cells_per_unit=CELLS).solver,
     "dam-break": lambda: dam_break(cells_per_unit=CELLS).solver,
     "water-on-sand": lambda: water_on_sand(cells_per_unit=CELLS).solver,
@@ -117,18 +136,95 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_step_matches_frozen_reference_bitwise(name):
-    solver, reference = SCENARIOS[name](), SCENARIOS[name]()
+@pytest.fixture(params=["numpy", "accel"])
+def backend(request, monkeypatch):
+    """The backend name, plus a list that counts the steps the compiled
+    kernels ran (``None`` on the NumPy leg). The accel leg skips only
+    when cffi or the C compiler is missing or a kill switch
+    (``REPRO_BACKEND=numpy``, ``REPRO_NO_CKERNELS``) is set; a failed
+    build fails it."""
+    if request.param == "numpy":
+        return "numpy", None
+    reason = toolchain_missing()
+    if reason is not None:
+        pytest.skip(reason)
+    assert kernels() is not None, build_error()
+    ran, g2p = [], CpuKernels.mpm_g2p
+
+    def counted(self, *args, **kwargs):
+        ran.append(1)
+        return g2p(self, *args, **kwargs)
+
+    monkeypatch.setattr(CpuKernels, "mpm_g2p", counted)
+    return "accel", ran
+
+
+def _on(solver, backend):
+    return MPMSolver(solver.grid, solver.particles, solver.materials,
+                     solver.config, backend=backend)
+
+
+# the NumPy leg keeps the scenario name as its id, the accel leg adds
+# "-accel"
+@pytest.mark.parametrize("name, backend", [
+    *(pytest.param(name, "numpy", id=name) for name in sorted(SCENARIOS)),
+    *(pytest.param(name, "accel", id=f"{name}-accel")
+      for name in sorted(SCENARIOS)),
+], indirect=["backend"])
+def test_step_matches_frozen_reference_bitwise(name, backend):
+    backend, compiled = backend
+    solver, reference = _on(SCENARIOS[name](), backend), SCENARIOS[name]()
     for _ in range(STEPS):
         solver.step()
         _reference_step(reference)
     assert solver.step_count == reference.step_count == STEPS
     assert solver.time == reference.time
+    if compiled is not None:
+        assert len(compiled) == STEPS
     for field in FIELDS:
         got = getattr(solver.particles, field)
         assert np.isfinite(got).all(), field
         assert np.array_equal(got, getattr(reference.particles, field)), field
+
+
+def test_step_leaves_callers_arrays_alone(backend):
+    """``positions``, ``velocities`` and ``volumes`` are rebound, never
+    written in place: arrays a caller held keep their values."""
+    backend, _ = backend
+    solver = _on(SCENARIOS["column"](), backend)
+    p = solver.particles
+    held = [p.positions, p.velocities, p.volumes]
+    before = [a.copy() for a in held]
+    solver.step()
+    for name, a, b in zip(("positions", "velocities", "volumes"), held,
+                          before):
+        assert getattr(p, name) is not a, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("shape", ["linear", "quadratic"])
+# (2.0, y) is the domain's right edge: a node past the grid's last for
+# either basis
+@pytest.mark.parametrize("where", [(np.nan, 0.5), (0.5, np.inf), (5.0, 0.5),
+                                   (0.5, -0.01), (2.0, 0.5)])
+def test_particle_outside_grid_raises_before_any_change(shape, where,
+                                                        backend):
+    """A non-finite position, or one whose shape-function support
+    reaches past the grid, raises instead of scattering onto wrapped
+    node ids, and leaves the solver's state untouched."""
+    backend, _ = backend
+    s = granular_column_collapse(cells_per_unit=CELLS).solver
+    solver = MPMSolver(s.grid, s.particles, s.materials,
+                       MPMConfig(shape=shape), backend=backend)
+    solver.step()
+    solver.particles.positions[3] = where
+    snap = solver.snapshot()
+    with pytest.raises(ParticleOutsideGridError, match="particle 3 "):
+        solver.step()
+    after = solver.snapshot()
+    assert after.keys() == snap.keys()
+    for key, value in snap.items():
+        assert np.array_equal(after[key], value, equal_nan=True), key
 
 
 def test_water_on_sand_has_two_materials():
