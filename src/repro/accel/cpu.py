@@ -8,9 +8,10 @@ Two consumers share one library:
   segment-sum) where NumPy pays one full pass over the array per ufunc.
   The float32 kernels fuse that glue into single-pass loops.
 * The 2-D MPM step (:class:`repro.mpm.MPMSolver`) runs its shape
-  evaluation, particle-to-grid scatter, grid update and grid-to-particle
-  gather as float64 kernels, one call per phase instead of about 190
-  NumPy calls per step.
+  evaluation, particle-to-grid scatter, grid update, grid-to-particle
+  gather and the elastic and Drucker–Prager stress updates as float64
+  kernels, one call per phase and per material instead of about 190
+  NumPy calls for the phases plus each material's NumPy update.
 
 Everything is compiled once per machine with the system ``cc`` through
 cffi's ABI mode, cached on disk by source hash.
@@ -50,15 +51,18 @@ Three translation units with different flag sets:
   propagate (``-ffinite-math-only`` is *not* enabled), but the summation
   order inside a row is unspecified, so results differ from NumPy in the
   last ulp or two.
-* float64 MPM (``mpm_shape``/``mpm_p2g``/``mpm_grid``/``mpm_g2p``):
-  ``-ffp-contract=off`` on top of the common flags. With
-  ``-march=native`` on a CPU with FMA, GCC otherwise contracts ``a*b + c``
-  into one rounding; NumPy rounds the product and the sum separately.
-  Every scatter walks particle–node pairs particle-major and adds a
-  node's internal-force terms before any of its gravity terms (the order
-  of the NumPy step's ``bincount`` calls), and every sum over
+* float64 MPM (``mpm_shape``/``mpm_p2g``/``mpm_grid``/``mpm_g2p``/
+  ``mpm_stress``): ``-ffp-contract=off`` on top of the common flags.
+  With ``-march=native`` on a CPU with FMA, GCC otherwise contracts
+  ``a*b + c`` into one rounding; NumPy rounds the product and the sum
+  separately. Every scatter walks particle–node pairs particle-major and
+  adds a node's internal-force terms before any of its gravity terms
+  (the order of the NumPy step's ``bincount`` calls), and every sum over
   shape-function offsets starts from +0.0 and adds in offset order
-  (``_offset_sum``).
+  (``_offset_sum``). The Jaumann rotation's stacked 2×2 products, which
+  NumPy sends to BLAS dgemm (FMA or not, by CPU), are exact to repeat
+  because the spin's diagonal is zero: each entry is one rounded product
+  plus an exact zero, summed from +0.0 as dgemm does.
 
 The float32 kernels require C-contiguous float32 arrays and int64
 indices, the MPM kernels C-contiguous float64 arrays; the wrappers
@@ -117,6 +121,10 @@ long long repro_mpm_g2p64(long long n, long long k, long long nn,
                           double flip, double dt, const double* bounds,
                           double* vel_out, double* pos_out, double* vol_out,
                           double* strain, double* spin);
+void repro_mpm_stress64(long long n, const long long* ids, long long mat,
+                        double lam, double two_mu, int plastic, double alpha,
+                        double k, double p_cut, const double* strain,
+                        const double* spin, double* stress, double* szz);
 """
 
 # Translation unit 1: strict IEEE semantics (no reassociation). The ReLU
@@ -480,6 +488,75 @@ i64 repro_mpm_g2p64(i64 n, i64 k, i64 nn, const i64* restrict nodes,
     }
     return -1;
 }
+
+/* (0 + a_0 b_0) + a_1 b_1: one entry of a stacked 2x2 product as BLAS
+ * dgemm forms it, from a +0.0 accumulator (so an all-zero entry is +0.0).
+ * One of the two products is an exact zero here (the spin's diagonal),
+ * so dgemm's order and its FMA cannot change the rounding. */
+static inline double dot2(double a0, double b0, double a1, double b1)
+{
+    return (0.0 + a0 * b0) + a1 * b1;
+}
+
+/* Constitutive update in place of the particles whose id is mat:
+ * Jaumann rotation (s + W s) - s W, Hooke increment
+ * (lam tr) delta_ij + (2 mu) e_ij with zz increment lam tr + 0.0, and
+ * with plastic != 0 the Drucker-Prager return with tension cutoff of
+ * materials.py (alpha, k, p_cut from DruckerPrager.yield_surface). Each
+ * product and sum is rounded on its own in the NumPy update's order;
+ * np.maximum/np.minimum keep NaN and give the second operand on a tie.
+ * Exact for spins whose diagonal is zero, as 0.5 * (L - L^T) * dt. */
+void repro_mpm_stress64(i64 n, const i64* restrict ids, i64 mat, double lam,
+                        double two_mu, int plastic, double alpha, double k,
+                        double p_cut, const double* restrict strain,
+                        const double* restrict spin, double* restrict stress,
+                        double* restrict szz)
+{
+    for (i64 p = 0; p < n; p++) {
+        if (ids[p] != mat)
+            continue;
+        const double* e = strain + 4 * p;
+        const double* W = spin + 4 * p;
+        double* s = stress + 4 * p;
+        double ltr = lam * (e[0] + e[3]);
+        double t[4];
+        for (int i = 0; i < 2; i++)
+            for (int j = 0; j < 2; j++) {
+                double ws = dot2(W[2 * i], s[j], W[2 * i + 1], s[2 + j]);
+                double sw = dot2(s[2 * i], W[j], s[2 * i + 1], W[2 + j]);
+                t[2 * i + j] = ((s[2 * i + j] + ws) - sw)
+                               + (ltr * (i == j ? 1.0 : 0.0)
+                                  + two_mu * e[2 * i + j]);
+            }
+        double zz = szz[p] + (ltr + 0.0);
+        if (!plastic) {
+            for (int c = 0; c < 4; c++)
+                s[c] = t[c];
+            szz[p] = zz;
+            continue;
+        }
+        double pm = ((t[0] + t[3]) + zz) / 3.0;
+        double s00 = t[0] - pm, s11 = t[3] - pm, sz = zz - pm, s01 = t[1];
+        double j2 = 0.5 * ((s00 * s00 + s11 * s11) + sz * sz) + s01 * s01;
+        double q = sqrt(j2 < 1e-30 ? 1e-30 : j2);
+        double f = (q + alpha * pm) - k;
+        int tension = pm > p_cut;
+        double pn = tension ? p_cut : pm;
+        double q_allow = k - alpha * pn;
+        q_allow = q_allow > 0.0 || isnan(q_allow) ? q_allow : 0.0;
+        double scale = 1.0;
+        if ((f > 0.0 || tension) && q > 1e-20) {
+            double r = q_allow / q;
+            scale = r > 1.0 ? 1.0 : r;
+        }
+        s01 *= scale;
+        s[0] = s00 * scale + pn;
+        s[1] = s01;
+        s[2] = s01;
+        s[3] = s11 * scale + pn;
+        szz[p] = sz * scale + pn;
+    }
+}
 """
 
 _FLAGS_COMMON = ["-O3", "-march=native", "-fPIC"]
@@ -716,6 +793,28 @@ class CpuKernels:
             self._f64(strain_inc, (n, 2, 2)), self._f64(spin_inc, (n, 2, 2)))
         if bad >= 0:
             raise IndexError(f"pair {bad}: node id outside the grid")
+
+    def mpm_stress(self, material_ids: np.ndarray, material_id: int,
+                   lam: float, two_mu: float,
+                   cone: tuple[float, float, float] | None,
+                   strain_inc: np.ndarray, spin_inc: np.ndarray,
+                   stresses: np.ndarray, sigma_zz: np.ndarray) -> None:
+        """Constitutive update, in place on ``stresses (n, 2, 2)`` and
+        ``sigma_zz (n,)``, of the particles whose ``material_ids`` entry
+        (int64) is ``material_id``: Jaumann rotation by ``spin_inc``, the
+        Hooke increment with Lamé ``lam`` and ``two_mu`` = 2μ, and, when
+        ``cone`` = ``(alpha, k, p_cut)`` is given, the Drucker–Prager
+        return with tension cutoff. Bitwise-equal to
+        ``LinearElastic``/``DruckerPrager.update_stress`` provided each
+        spin's diagonal is an exact zero, as ``0.5 * (L - L^T) * dt``
+        makes it. Other particles are left alone."""
+        n = material_ids.shape[0]
+        alpha, k, p_cut = (0.0, 0.0, 0.0) if cone is None else cone
+        self._lib.repro_mpm_stress64(
+            n, self._i64(material_ids, (n,)), material_id, lam, two_mu,
+            int(cone is not None), alpha, k, p_cut,
+            self._f64(strain_inc, (n, 2, 2)), self._f64(spin_inc, (n, 2, 2)),
+            self._f64(stresses, (n, 2, 2)), self._f64(sigma_zz, (n,)))
 
 
 _KERNELS: CpuKernels | None = None

@@ -76,7 +76,15 @@ class Material:
 
 
 def _jaumann_rotate(stresses: np.ndarray, spin_inc: np.ndarray) -> np.ndarray:
-    """Objective (Jaumann) stress rotation: σ += W σ − σ W."""
+    """Objective (Jaumann) stress rotation: σ += W σ − σ W.
+
+    The stacked ``@`` goes to BLAS dgemm, which may fuse a product into
+    its sum (FMA). The spin ``W = 0.5 (L − Lᵀ) dt`` has an exactly zero
+    diagonal, so each entry of ``W σ`` and ``σ W`` is one rounded product
+    plus an exact zero, and fusing cannot change it; the compiled
+    constitutive kernel (:mod:`repro.accel.cpu`) relies on that to give
+    the same bits.
+    """
     return stresses + spin_inc @ stresses - stresses @ spin_inc
 
 
@@ -122,6 +130,17 @@ class DruckerPrager(Material):
         k = 3.0 * self.cohesion / denom
         return float(alpha), float(k)
 
+    def yield_surface(self) -> tuple[float, float, float]:
+        """``(α, k, p_cut)``: the cone of :meth:`_cone` and the cap on the
+        mean stress p (tension positive), which is the cone apex ``k / α``
+        (∞ when α = 0) or a lower ``tension_cutoff``. The NumPy update and
+        the compiled kernel both take their constants from here."""
+        alpha, k = self._cone()
+        apex = k / alpha if alpha > 0 else np.inf
+        p_cut = (apex if self.tension_cutoff is None
+                 else min(self.tension_cutoff, apex))
+        return alpha, k, p_cut
+
     def update_stress(self, stresses: np.ndarray, sigma_zz: np.ndarray,
                       strain_inc: np.ndarray, spin_inc: np.ndarray,
                       **kwargs) -> tuple[np.ndarray, np.ndarray]:
@@ -142,13 +161,10 @@ class DruckerPrager(Material):
         j2 = 0.5 * (s00 ** 2 + s11 ** 2 + szz_dev ** 2) + s01 ** 2
         q = np.sqrt(np.maximum(j2, 1e-30))
 
-        alpha, k = self._cone()
+        alpha, k, p_cut = self.yield_surface()
         # yield function in tension-positive convention:
         # f = sqrt(J2) + alpha * p - k   (p < 0 in compression strengthens)
         f = q + alpha * p - k
-
-        apex = k / alpha if alpha > 0 else np.inf
-        p_cut = apex if self.tension_cutoff is None else min(self.tension_cutoff, apex)
 
         # tension cutoff: project mean stress back to the cap
         tension = p > p_cut

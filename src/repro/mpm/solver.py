@@ -21,9 +21,11 @@ over the 4/9 offsets and the two axes.
 When the solver's backend has compiled kernels (the default ``accel``
 backend with a C toolchain), the shape evaluation, P2G, grid update and
 G2P each run as one float64 C call (:mod:`repro.accel.cpu`) that repeats
-the NumPy step's arithmetic in its order, so trajectories are
-bitwise-equal either way; ``backend="numpy"`` runs the NumPy step, the
-oracle. The constitutive update is NumPy on both paths.
+the NumPy step's arithmetic in its order, and so does the constitutive
+update of each :class:`LinearElastic` or :class:`DruckerPrager`
+material (exact type; other materials and subclasses run their own
+``update_stress``). Trajectories are bitwise-equal either way;
+``backend="numpy"`` runs the NumPy step, the oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..backend import get_backend
 from ..obs import get_registry, span
 from ..utils.buffers import Workspace
 from .grid import BoxBoundary, Grid
-from .materials import Material
+from .materials import DruckerPrager, LinearElastic, Material
 from .particles import Particles
 from .shape import (
     ParticleOutsideGridError, QuadraticShape, ShapeFunction, make_shape,
@@ -319,14 +321,32 @@ class MPMSolver:
                           margin, g.size[1] - margin),
                          out_vel, out_pos, out_vol, strain_inc, spin_inc)
             p.velocities, p.positions, p.volumes = out_vel, out_pos, out_vol
-            self._update_stress(strain_inc, spin_inc, dt)
+            self._update_stress(strain_inc, spin_inc, dt, kern)
 
     def _update_stress(self, strain_inc: np.ndarray, spin_inc: np.ndarray,
-                       dt: float) -> None:
+                       dt: float, kern=None) -> None:
         """Constitutive update of every material's particles (USL); runs
-        after the volumes were updated, which the Jacobian reads."""
+        after the volumes were updated, which the Jacobian reads. With
+        ``kern``, a material whose exact type is :class:`LinearElastic` or
+        :class:`DruckerPrager` is updated by its compiled kernel, in place
+        and bitwise-equal to its ``update_stress``; any other material,
+        subclasses included (they may override the update), runs its own
+        ``update_stress``."""
         p = self.particles
+        # the kernel writes in place, so only onto the particles' own
+        # arrays, in the layout it reads
+        arrays = (p.stresses, p.sigma_zz, p.material_ids)
+        compiled = kern is not None and all(
+            a.flags.c_contiguous for a in arrays) and tuple(
+            a.dtype for a in arrays) == (np.float64, np.float64, np.int64)
         for mat_id, mat in self.materials.items():
+            if compiled and type(mat) in (LinearElastic, DruckerPrager):
+                cone = (mat.yield_surface() if type(mat) is DruckerPrager
+                        else None)
+                kern.mpm_stress(p.material_ids, int(mat_id), mat.lam,
+                                2.0 * mat.mu, cone, strain_inc, spin_inc,
+                                p.stresses, p.sigma_zz)
+                continue
             sel = p.material_ids == mat_id
             if not np.any(sel):
                 continue

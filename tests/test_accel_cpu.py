@@ -253,3 +253,159 @@ class TestMpmKernels:
             kern.mpm_shape(True, self._pos(8)[::2], self.H, self.DIMS, *out)
         with pytest.raises(ValueError):
             kern.mpm_shape(True, self._pos(5), self.H, self.DIMS, *out)
+
+
+def _stress_state(n, seed=0, dt=1e-3):
+    """``n`` particles' material ids, stresses, ``sigma_zz``, strain and
+    spin increments (``0.5 (L ± Lᵀ) dt``, so the spin's diagonal is an
+    exact zero) spread over every Drucker–Prager regime: deep
+    compression with a small deviator (elastic), a large deviator (shear
+    yield) and tensile mean stress (cutoff)."""
+    rng = np.random.default_rng(seed)
+    block = np.arange(n) % 3
+    mean = np.array([-2e4, -1e3, 6e2])[block]
+    dev = np.array([1e2, 8e3, 1e2])[block]
+    sig = rng.normal(0.0, 1.0, size=(n, 2, 2)) * dev[:, None, None]
+    sig = 0.5 * (sig + sig.transpose(0, 2, 1)) + mean[:, None, None] * np.eye(2)
+    szz = mean + rng.normal(0.0, 1.0, size=n) * dev
+    lgrad = rng.normal(0.0, 1e-5, size=(n, 2, 2)) / dt
+    ids = rng.integers(0, 3, size=n).astype(np.int64)
+    return ids, sig, szz, lgrad, dt
+
+
+def _increments(lgrad, dt):
+    lt = lgrad.transpose(0, 2, 1)
+    return 0.5 * (lgrad + lt) * dt, 0.5 * (lgrad - lt) * dt
+
+
+def _assert_same_bits(got, want, name):
+    """Equal bit patterns (signed zeros included) where ``want`` is a
+    number, and NaN in the same positions."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), name
+    assert np.array_equal(got[~nan].view(np.int64),
+                          want[~nan].view(np.int64)), name
+
+
+def _regimes(mat, stresses, szz, strain, spin):
+    """Which particles stay elastic, yield in shear, or hit the tension
+    cap, read from the NumPy elastic trial and ``yield_surface``."""
+    from repro.mpm.materials import LinearElastic
+    trial, tzz = LinearElastic.update_stress(mat, stresses, szz, strain,
+                                             spin)
+    p = (trial[:, 0, 0] + trial[:, 1, 1] + tzz) / 3.0
+    dev = np.stack([trial[:, 0, 0] - p, trial[:, 1, 1] - p, tzz - p])
+    q = np.sqrt(0.5 * (dev ** 2).sum(axis=0) + trial[:, 0, 1] ** 2)
+    alpha, k, p_cut = mat.yield_surface()
+    tension = p > p_cut
+    shear = ~tension & (q + alpha * p - k > 0.0)
+    return {"elastic": int((~tension & ~shear).sum()),
+            "shear": int(shear.sum()), "tension": int(tension.sum())}
+
+
+class TestMpmStress:
+    """``mpm_stress`` against ``Material.update_stress`` bit for bit on
+    hand-built states that reach every branch of the return mapping —
+    the trajectories of the step-level gate reach only some of them."""
+
+    N = 600
+    MAT = 1
+
+    def _models(self):
+        from repro.mpm import DruckerPrager
+        from repro.mpm.materials import LinearElastic
+        base = dict(density=1800.0, youngs_modulus=1e7, poisson_ratio=0.3)
+        return {
+            "elastic": LinearElastic(**base),
+            "dp": DruckerPrager(**base, friction_angle=30.0),
+            "dp-cohesion-cutoff": DruckerPrager(
+                **base, friction_angle=35.0, cohesion=500.0,
+                tension_cutoff=100.0),
+            "dp-frictionless": DruckerPrager(**base, friction_angle=0.0,
+                                             cohesion=2e3),
+        }
+
+    def _run(self, mat, ids, stresses, szz, strain, spin):
+        from repro.mpm import DruckerPrager
+        sel = ids == self.MAT
+        want_s, want_zz = stresses.copy(), szz.copy()
+        s_new, zz_new = mat.update_stress(stresses[sel], szz[sel],
+                                          strain[sel], spin[sel])
+        want_s[sel], want_zz[sel] = s_new, zz_new
+        got_s, got_zz = stresses.copy(), szz.copy()
+        cone = mat.yield_surface() if type(mat) is DruckerPrager else None
+        _kernels().mpm_stress(ids, self.MAT, mat.lam, 2.0 * mat.mu, cone,
+                              strain, spin, got_s, got_zz)
+        _assert_same_bits(got_s, want_s, "stresses")
+        _assert_same_bits(got_zz, want_zz, "sigma_zz")
+        # every other material's particles untouched, bit for bit
+        _assert_same_bits(got_s[~sel], stresses[~sel], "other stresses")
+        _assert_same_bits(got_zz[~sel], szz[~sel], "other sigma_zz")
+
+    @pytest.mark.parametrize("model", ["elastic", "dp", "dp-cohesion-cutoff",
+                                       "dp-frictionless"])
+    def test_bitwise_equal_to_update_stress(self, model):
+        mat = self._models()[model]
+        ids, sig, szz, lgrad, dt = _stress_state(self.N)
+        strain, spin = _increments(lgrad, dt)
+        if model != "elastic":
+            sel = ids == self.MAT
+            seen = _regimes(mat, sig[sel], szz[sel], strain[sel], spin[sel])
+            need = {"elastic", "shear"} | (
+                set() if model == "dp-frictionless" else {"tension"})
+            assert all(seen[r] > 0 for r in need), seen
+            if model == "dp-frictionless":
+                assert mat.yield_surface()[0] == 0.0
+                assert mat.yield_surface()[2] == np.inf
+            if model == "dp-cohesion-cutoff":
+                alpha, k, p_cut = mat.yield_surface()
+                assert 0.0 < p_cut == mat.tension_cutoff < k / alpha
+        self._run(mat, ids, sig, szz, strain, spin)
+
+    @pytest.mark.parametrize("model", ["elastic", "dp", "dp-cohesion-cutoff",
+                                       "dp-frictionless"])
+    def test_degenerate_states(self, model):
+        """At rest under hydrostatic stress (J2 = 0, under the 1e-30
+        floor), in tension at rest, all-zero, signed zeros — where a
+        stacked ``@`` that sums from +0.0 differs from a bare
+        ``a0*b0 + a1*b1`` — and NaN in a strain entry, off the diagonal
+        or on it (the spin's diagonal then is NaN too)."""
+        mat = self._models()[model]
+        nz = -0.0
+        cases = [  # (stress, sigma_zz, L)
+            (-200.0 * np.eye(2), -200.0, np.zeros((2, 2))),
+            (200.0 * np.eye(2), 200.0, np.zeros((2, 2))),
+            (np.zeros((2, 2)), 0.0, np.zeros((2, 2))),
+            (np.full((2, 2), nz), nz, np.array([[nz, 1.0], [0.0, nz]])),
+            (-50.0 * np.eye(2), -50.0, np.array([[0.1, np.nan], [0.2, 0.3]])),
+            (-50.0 * np.eye(2), -50.0, np.array([[np.nan, 0.1], [0.2, 0.3]])),
+        ]
+        ids = np.array([self.MAT, 0] * len(cases), dtype=np.int64)
+        sig = np.stack([c[0] for c in cases for _ in range(2)])
+        szz = np.array([c[1] for c in cases for _ in range(2)])
+        lgrad = np.stack([c[2] for c in cases for _ in range(2)])
+        strain, spin = _increments(lgrad, 1e-3)
+        diagonal = np.diagonal(spin, axis1=1, axis2=2)
+        assert np.array_equal(diagonal[:-2], np.zeros((len(ids) - 2, 2)))
+        assert np.isnan(diagonal[-2:, 0]).all()
+        self._run(mat, ids, sig, szz, strain, spin)
+
+    def test_rejects_float32_strided_and_misshaped(self):
+        kern = _kernels()
+        ids, sig, szz, lgrad, dt = _stress_state(8)
+        strain, spin = _increments(lgrad, dt)
+        args = (1e6, 2e6, (0.5, 0.0, 0.0))
+        with pytest.raises(TypeError):
+            kern.mpm_stress(ids, 1, *args, strain, spin,
+                            sig.astype(np.float32), szz)
+        with pytest.raises(TypeError):
+            kern.mpm_stress(ids, 1, *args, strain, spin, sig,
+                            np.repeat(szz, 2)[::2])
+        with pytest.raises(TypeError):
+            kern.mpm_stress(ids.astype(np.int32), 1, *args, strain, spin,
+                            sig, szz)
+        with pytest.raises(ValueError):
+            kern.mpm_stress(ids, 1, *args, strain[:7], spin, sig, szz)
+        with pytest.raises(ValueError):
+            kern.mpm_stress(ids, 1, *args, strain, spin,
+                            sig.reshape(8, 4), szz)

@@ -6,8 +6,11 @@ written before the transfers moved to offset-major arrays: particle-major
 production step must reproduce its trajectories exactly, so every
 particle field is compared with ``np.array_equal`` after many steps —
 once on the NumPy backend and once on ``accel``, whose step runs the
-compiled float64 kernels of :mod:`repro.accel.cpu`.
+compiled float64 kernels of :mod:`repro.accel.cpu`, the constitutive
+update of elastic and Drucker–Prager materials included.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -136,27 +139,39 @@ SCENARIOS = {
 }
 
 
+# compiled stress updates per step, one per elastic or Drucker–Prager
+# material: none for the fluid, only the sand's on water-on-sand, the one
+# material's everywhere else
+STRESS_CALLS = {"dam-break": 0, "water-on-sand": 1}
+
+
 @pytest.fixture(params=["numpy", "accel"])
 def backend(request, monkeypatch):
-    """The backend name, plus a list that counts the steps the compiled
-    kernels ran (``None`` on the NumPy leg). The accel leg skips only
-    when cffi or the C compiler is missing or a kill switch
-    (``REPRO_BACKEND=numpy``, ``REPRO_NO_CKERNELS``) is set; a failed
-    build fails it."""
+    """The backend name, plus a dict that counts the calls of the
+    compiled ``mpm_g2p`` and ``mpm_stress`` kernels (``None`` on the
+    NumPy leg), so a dispatch that fell back to NumPy shows. The accel
+    leg skips only when cffi or the C compiler is missing or a kill
+    switch (``REPRO_BACKEND=numpy``, ``REPRO_NO_CKERNELS``) is set; a
+    failed build fails it."""
     if request.param == "numpy":
         return "numpy", None
     reason = toolchain_missing()
     if reason is not None:
         pytest.skip(reason)
     assert kernels() is not None, build_error()
-    ran, g2p = [], CpuKernels.mpm_g2p
+    calls = {"mpm_g2p": 0, "mpm_stress": 0}
 
-    def counted(self, *args, **kwargs):
-        ran.append(1)
-        return g2p(self, *args, **kwargs)
+    def counted(name):
+        kernel = getattr(CpuKernels, name)
 
-    monkeypatch.setattr(CpuKernels, "mpm_g2p", counted)
-    return "accel", ran
+        def run(self, *args, **kwargs):
+            calls[name] += 1
+            return kernel(self, *args, **kwargs)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(CpuKernels, name, counted(name))
+    return "accel", calls
 
 
 def _on(solver, backend):
@@ -180,11 +195,60 @@ def test_step_matches_frozen_reference_bitwise(name, backend):
     assert solver.step_count == reference.step_count == STEPS
     assert solver.time == reference.time
     if compiled is not None:
-        assert len(compiled) == STEPS
+        assert compiled == {"mpm_g2p": STEPS,
+                            "mpm_stress": STEPS * STRESS_CALLS.get(name, 1)}
     for field in FIELDS:
         got = getattr(solver.particles, field)
         assert np.isfinite(got).all(), field
         assert np.array_equal(got, getattr(reference.particles, field)), field
+
+
+class _TracedDruckerPrager(DruckerPrager):
+    """A subclass that overrides the update; here it only counts."""
+
+    calls = 0
+
+    def update_stress(self, *args, **kwargs):
+        type(self).calls += 1
+        return super().update_stress(*args, **kwargs)
+
+
+def _subclassed(solver):
+    solver.materials[0] = _TracedDruckerPrager(**asdict(solver.materials[0]))
+
+
+def _int32_ids(solver):
+    p = solver.particles
+    p.material_ids = p.material_ids.astype(np.int32)
+
+
+@pytest.mark.parametrize("change", [_subclassed, _int32_ids],
+                         ids=["subclass", "int32-ids"])
+def test_numpy_update_where_the_kernel_does_not_apply(change, backend,
+                                                      monkeypatch):
+    """A Drucker–Prager subclass that overrides ``update_stress`` runs
+    its override on both backends, and int32 material ids (the kernel
+    reads int64 ones) take the material's own update too; either way
+    the trajectory equals the frozen reference."""
+    backend, compiled = backend
+    monkeypatch.setattr(_TracedDruckerPrager, "calls", 0)
+
+    def make():
+        s = SCENARIOS["column"]()
+        change(s)
+        return s
+
+    solver, reference = _on(make(), backend), make()
+    for _ in range(10):
+        solver.step()
+        _reference_step(reference)
+    if change is _subclassed:
+        assert _TracedDruckerPrager.calls == 20
+    if compiled is not None:
+        assert compiled == {"mpm_g2p": 10, "mpm_stress": 0}
+    for field in FIELDS:
+        assert np.array_equal(getattr(solver.particles, field),
+                              getattr(reference.particles, field)), field
 
 
 def test_step_leaves_callers_arrays_alone(backend):
