@@ -15,8 +15,8 @@ Times the 1k-particle GNS rollout three ways:
 
 Correctness contract: the engine's float64 trajectory with caching
 enabled is **bitwise identical** to both the uncached (skin=0) engine
-and the naive ``fast=False`` loop, and matches the legacy numerics to
-float round-off. The fp32 trajectory must stay within a documented
+and the float64 tape oracle (``fast=False``: the tape forward under
+``no_grad``), and matches the legacy numerics to float round-off. The fp32 trajectory must stay within a documented
 max-position-drift tolerance of the float64 one.
 
 Writes ``BENCH_fastpath.json`` (per-path steps/sec and stage timings,
@@ -265,8 +265,8 @@ def _run(args, backend) -> dict:
     assert np.array_equal(cached, uncached), \
         "cached trajectory differs from uncached"
     assert np.array_equal(cached, ref), \
-        "engine trajectory differs from naive step loop"
-    print(f"correctness: {check_steps}-step cached/uncached/naive "
+        "engine trajectory differs from the tape oracle"
+    print(f"correctness: {check_steps}-step cached/uncached/tape "
           "trajectories bitwise identical (float64)")
     legacy_check = legacy_rollout(sim, seed_frames, check_steps, material)
     legacy_diff = float(np.max(np.abs(legacy_check - cached)))

@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skin", type=float, default=None,
                    help="Verlet neighbor-cache skin (default 0.25*radius)")
     p.add_argument("--no-fast", action="store_true",
-                   help="use the naive per-step path (no caching/buffers)")
+                   help="run the float64 tape oracle instead of the engine "
+                        "(no caching/buffers; float64 only)")
     p.add_argument("--timing", action="store_true",
                    help="print per-stage timing breakdown and cache stats")
     p.add_argument("--profile", action="store_true",
@@ -298,7 +299,7 @@ def _cmd_simulate(args) -> int:
     import contextlib
     import time
 
-    from ..utils.profiling import profile_block
+    from ..obs import profile_block
 
     solver = spec.solver
     dt = solver.stable_dt()
@@ -495,11 +496,13 @@ def _cmd_rollout(args) -> int:
                   file=sys.stderr)
             return 2
         args.dtype = "float32"
+    if args.no_fast and args.dtype == "float32":
+        print("error: --no-fast runs the float64 tape oracle; it conflicts "
+              "with --dtype float32", file=sys.stderr)
+        return 2
     if args.dtype is not None:
         # the entry point of the fp32 inference mode (per-file allowlists
-        # live in LintConfig.fp32_allowlist / the fp32-ok pragma); setting
-        # inference_dtype (rather than passing dtype per-call) keeps the
-        # --no-fast path consistent with the engine path
+        # live in LintConfig.fp32_allowlist / the fp32-ok pragma)
         sim.inference_dtype = np.dtype(args.dtype)
     ds = retry_call(load_trajectories, args.dataset,
                     give_up_on=(FileNotFoundError, IsADirectoryError),
@@ -513,7 +516,7 @@ def _cmd_rollout(args) -> int:
     import contextlib
     import time
 
-    from ..utils.profiling import profile_block
+    from ..obs import profile_block
 
     session = _open_session(args, checkpoint=str(args.checkpoint),
                             dataset=str(args.dataset), index=args.index,

@@ -1,9 +1,8 @@
 """Buffer-reusing rollout engine — the GNS inference fast path.
 
-Per step, the naive rollout rebuilds the radius graph from scratch,
-re-allocates every node/edge feature array and every MLP intermediate,
-and re-sorts the receiver index for each of the M message-passing
-blocks. This engine removes all of that:
+Against a step through the tape forward, which rebuilds the radius graph
+from scratch and allocates every feature array and MLP intermediate,
+this engine removes the per-step overhead:
 
 * **Verlet-skin neighbor caching** (:class:`repro.graph.NeighborListCache`)
   — the candidate edge list is reused across steps and only rebuilt when
@@ -18,7 +17,7 @@ blocks. This engine removes all of that:
   survives into steady state.
 * **Per-stage tracing** via :class:`repro.obs.Tracer` spans: graph
   build, feature assembly, encode, process, decode, integrate. Each
-  ``rollout()`` opens a fresh *run scope* (a tracer snapshot), so
+  rollout opens a fresh *run scope* (a tracer snapshot), so
   :meth:`timings` reports the latest run only — successive rollouts
   never double-count — while the tracer keeps lifetime aggregates for
   telemetry export.
@@ -28,15 +27,17 @@ blocks. This engine removes all of that:
   offending particle count, max |v|, and the good frames produced so
   far, instead of rolling out garbage for the remaining steps.
 
-Float64 rollouts are bitwise-identical to the naive
-:meth:`LearnedSimulator.step_numpy` loop — the engine runs the same
-operations in the same order, just into reused memory.
+Float64 rollouts are bitwise-identical to the tape oracle,
+``LearnedSimulator.rollout(fast=False)`` (:meth:`LearnedSimulator.step`
+under ``no_grad``) — the engine runs the same operations in the same
+order, just into reused memory.
 
-:meth:`InferenceEngine.rollout_batch` vectorizes over independent
-initial conditions by stacking trajectories into one block-diagonal
-graph (edges never cross trajectories), which turns B small MLP matmuls
-into one B×-taller matmul — the shape the inverse-problem ensemble
-needs.
+:meth:`InferenceEngine.rollout` and :meth:`InferenceEngine.rollout_batch`
+share one step loop: B independent initial conditions are stacked into
+one block-diagonal graph (edges never cross trajectories, each
+trajectory slot keeps its own neighbor cache), which turns B small MLP
+matmuls into one B×-taller matmul — the shape the inverse-problem
+ensemble and micro-batched serving need. A solo rollout is the B=1 case.
 """
 # repro-lint: fp32-ok — float32 inference fast path
 
@@ -91,7 +92,7 @@ class InferenceEngine:
         engine records edges-per-graph histograms and step counters.
     dtype:
         Precision of the network forward pass: ``np.float64`` (default,
-        bitwise-equal to the naive path) or ``np.float32`` (the fast
+        bitwise-equal to the tape oracle) or ``np.float32`` (the fast
         path: features, encoder, processor and decoder run end-to-end in
         fp32 — weights are cast once and cached). Integration, the
         rollout window and all returned positions stay float64 in both
@@ -126,24 +127,26 @@ class InferenceEngine:
         self.metrics = metrics
         self._spans = {name: self.tracer.span(name) for name in _STAGES}
         self._run_mark: dict | None = None
-        self._cache: NeighborListCache | None = None
-        self._batch_caches: list[NeighborListCache] = []
+        #: one neighbor cache per trajectory slot of the batch
+        self._caches: list[NeighborListCache] = []
 
     # ------------------------------------------------------------------
-    def _new_cache(self) -> NeighborListCache:
+    def _slot_caches(self, b: int) -> list[NeighborListCache]:
         cfg = self.simulator.feature_config
-        return NeighborListCache(cfg.connectivity_radius, skin=self.skin,
-                                 method=cfg.neighbor_method)
+        while len(self._caches) < b:
+            self._caches.append(NeighborListCache(
+                cfg.connectivity_radius, skin=self.skin,
+                method=cfg.neighbor_method))
+        return self._caches[:b]
 
     @property
     def cache(self) -> NeighborListCache:
-        if self._cache is None:
-            self._cache = self._new_cache()
-        return self._cache
+        """The first slot's cache — the one a solo :meth:`rollout` uses."""
+        return self._slot_caches(1)[0]
 
     def cache_stats(self) -> dict:
         stats = self.cache.stats()
-        for c in self._batch_caches:
+        for c in self._caches[1:]:
             for key in ("queries", "builds"):
                 stats[key] += c.stats()[key]
         if stats["queries"]:
@@ -153,8 +156,8 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def begin_run(self) -> None:
         """Open a fresh timing scope: :meth:`timings` reports spans
-        recorded after this point. Called automatically by
-        :meth:`rollout` / :meth:`rollout_batch`."""
+        recorded after this point. Called automatically by every
+        rollout."""
         self._run_mark = self.tracer.snapshot()
 
     def reset_timers(self) -> None:
@@ -270,14 +273,13 @@ class InferenceEngine:
 
     @staticmethod
     def _guard_seed(frames: np.ndarray) -> None:
-        """Reject a non-finite seed with the same structured error the
-        per-step guard raises (otherwise the KD-tree build crashes with
-        an opaque ValueError on the first graph query)."""
+        """Reject a non-finite ``(B, C+1, n, d)`` seed with the same
+        structured error the per-step guard raises (otherwise the KD-tree
+        build crashes with an opaque ValueError on the first graph
+        query)."""
         if np.isfinite(frames).all():
             return
-        bad = int((~np.isfinite(frames).all(axis=(0, -1))
-                   if frames.ndim == 3
-                   else ~np.isfinite(frames).all(axis=(0, 1, -1))).sum())
+        bad = int((~np.isfinite(frames).all(axis=(0, 1, -1))).sum())
         raise RolloutDivergedError(
             step=-1, reason="non-finite seed frames", bad_particles=bad,
             max_velocity=float("nan"), frames=None)
@@ -290,45 +292,118 @@ class InferenceEngine:
                 guard: bool = True) -> np.ndarray:
         """Fast rollout: ``(C+1+num_steps, n, d)`` positions.
 
-        Bitwise-identical (float64) to the naive per-step path. With
-        ``guard`` (default), raises
-        :class:`~repro.obs.RolloutDivergedError` the moment a step
-        produces NaN/Inf positions or (with ``max_velocity``) a
-        per-step displacement above the limit.
+        Bitwise-identical (float64) to the tape oracle. With ``guard``
+        (default), raises :class:`~repro.obs.RolloutDivergedError` the
+        moment a step produces NaN/Inf positions or (with
+        ``max_velocity``) a per-step displacement above the limit.
         """
-        cfg = self.simulator.feature_config
         frames = np.asarray(initial_history, dtype=np.float64)
-        window_len = cfg.history + 1
-        if frames.shape[0] != window_len:
+        return self._run(frames[np.newaxis], num_steps, [material],
+                         particle_types, max_velocity, guard)[0]
+
+    def rollout_batch(self, initial_histories: np.ndarray, num_steps: int,
+                      materials=None,
+                      particle_types: np.ndarray | None = None,
+                      max_velocity: float | None = None,
+                      guard: bool = True) -> np.ndarray:
+        """Vectorized rollout of B independent initial conditions.
+
+        Parameters
+        ----------
+        initial_histories:
+            ``(B, C+1, n, d)`` seed frames (same particle count per
+            trajectory).
+        materials:
+            Scalar applied to every trajectory, or a length-``B``
+            sequence (the inverse-problem ensemble varies the material).
+        particle_types:
+            ``(n,)`` shared across trajectories, or ``(B, n)``.
+
+        Returns
+        -------
+        ``(B, C+1+num_steps, n, d)`` positions. Each trajectory is
+        bitwise-equal (float64) to its solo :meth:`rollout`: the batch
+        runs one block-diagonal graph through the same kernels.
+        """
+        frames = np.asarray(initial_histories, dtype=np.float64)
+        if frames.ndim != 4:
+            raise ValueError("initial_histories must be (B, C+1, n, d)")
+        b = frames.shape[0]
+        if np.isscalar(materials) or materials is None:
+            materials = [materials] * b
+        else:
+            values = np.asarray(materials, dtype=np.float64)
+            if values.shape != (b,):
+                raise ValueError("materials must be scalar or length B")
+            materials = [float(v) for v in values]
+        return self._run(frames, num_steps, materials, particle_types,
+                         max_velocity, guard)
+
+    def _run(self, frames: np.ndarray, num_steps: int, materials: list,
+             particle_types, max_velocity, guard: bool) -> np.ndarray:
+        """The one step loop: ``(B, C+1, n, d)`` seeds and one material
+        per trajectory → ``(B, C+1+num_steps, n, d)`` positions."""
+        cfg = self.simulator.feature_config
+        b, window_len, n, dim = frames.shape
+        if window_len != cfg.history + 1:
             raise ValueError(
-                f"need {window_len} seed frames, got {frames.shape[0]}")
+                f"need {cfg.history + 1} seed frames, got {window_len}")
         if guard:
             self._guard_seed(frames)
-        n, dim = frames.shape[1], frames.shape[2]
-        out = np.empty((window_len + num_steps, n, dim), dtype=np.float64)
-        out[:window_len] = frames
-        window = frames.copy()
-        static_mask = cfg.static_mask(particle_types)
-        node_feats = np.empty((n, cfg.node_feature_size()), dtype=self.dtype)
-        self.simulator.featurizer.write_static_columns(node_feats, material,
-                                                       particle_types)
+
+        # stack trajectories into one big particle system (graph stays
+        # block-diagonal: each trajectory keeps its own neighbor cache).
+        # Explicit copy: for B=1 the transpose+reshape is a *view* of the
+        # caller's array (a size-1 axis never breaks C-contiguity, so
+        # ascontiguousarray would be a no-op) and _shift_window would
+        # mutate the caller's seed frames in place.
+        window = np.empty((window_len, b * n, dim), dtype=np.float64)
+        np.copyto(window, frames.transpose(1, 0, 2, 3)
+                  .reshape(window_len, b * n, dim))
+        types_flat = None
+        if particle_types is not None:
+            types = np.asarray(particle_types)
+            types_flat = (np.tile(types, b) if types.ndim == 1
+                          else types.reshape(b * n))
+        static_mask = cfg.static_mask(types_flat)
+
+        node_feats = np.empty((b * n, cfg.node_feature_size()),
+                              dtype=self.dtype)
+        for i, material in enumerate(materials):
+            self.simulator.featurizer.write_static_columns(
+                node_feats[i * n:(i + 1) * n], material,
+                None if types_flat is None else types_flat[i * n:(i + 1) * n])
+        caches = self._slot_caches(b)
+
         self.begin_run()
-        edge_hist = (self.metrics.histogram("gns.edges_per_graph",
-                                            buckets=_EDGE_BUCKETS)
-                     if self.metrics is not None else None)
-        cache = self.cache
+        metrics = self.metrics
+        edge_hist = step_hist = None
+        if metrics is not None:
+            edge_hist = metrics.histogram("gns.edges_per_graph",
+                                          buckets=_EDGE_BUCKETS)
+            step_hist = metrics.histogram("gns.step_seconds",
+                                          buckets=_STEP_SECONDS_BUCKETS)
+        out = np.empty((window_len + num_steps, b * n, dim), dtype=np.float64)
+        out[:window_len] = window
         san = active_sanitizer()
-        step_hist = (self.metrics.histogram("gns.step_seconds",
-                                            buckets=_STEP_SECONDS_BUCKETS)
-                     if self.metrics is not None else None)
         for t in range(num_steps):
             t_step = time.perf_counter() if step_hist is not None else 0.0
             with self._spans["graph"]:
-                senders, receivers = cache.query(window[-1])
-                # receivers come out of the cache already sorted, so the
-                # reduction plan shared by all processor blocks is a
-                # single searchsorted — no per-block matrix rebuilds
-                plan = SortedSegments(receivers, n, backend=self.backend)
+                x_t = window[-1]
+                if b == 1:
+                    senders, receivers = caches[0].query(x_t)
+                else:
+                    parts = [c.query(x_t[i * n:(i + 1) * n])
+                             for i, c in enumerate(caches)]
+                    senders = np.concatenate(  # lint: ignore[BKD001] — edge indices are host-side bookkeeping
+                        [s + i * n for i, (s, _) in enumerate(parts)])
+                    receivers = np.concatenate(  # lint: ignore[BKD001] — edge indices are host-side bookkeeping
+                        [r + i * n for i, (_, r) in enumerate(parts)])
+                # each trajectory's receivers come out of its cache sorted
+                # and the offsets increase, so the block-diagonal receiver
+                # index is sorted too: the reduction plan shared by every
+                # processor block is a single searchsorted
+                plan = SortedSegments(receivers, b * n, backend=self.backend)
             if edge_hist is not None:
                 edge_hist.observe(senders.shape[0])
             acc = self._forward(window, node_feats, senders, receivers,
@@ -357,115 +432,7 @@ class InferenceEngine:
                 # per-step latency distribution: p50/p95/p99 make
                 # neighbor-rebuild hiccups visible where a mean cannot
                 step_hist.observe(time.perf_counter() - t_step)
-        if self.metrics is not None:
-            self.metrics.counter("gns.rollout_steps").inc(num_steps)
-        return out
-
-    # ------------------------------------------------------------------
-    def rollout_batch(self, initial_histories: np.ndarray, num_steps: int,
-                      materials=None,
-                      particle_types: np.ndarray | None = None,
-                      max_velocity: float | None = None,
-                      guard: bool = True) -> np.ndarray:
-        """Vectorized rollout of B independent initial conditions.
-
-        Parameters
-        ----------
-        initial_histories:
-            ``(B, C+1, n, d)`` seed frames (same particle count per
-            trajectory).
-        materials:
-            Scalar applied to every trajectory, or a length-``B``
-            sequence (the inverse-problem ensemble varies the material).
-        particle_types:
-            ``(n,)`` shared across trajectories, or ``(B, n)``.
-
-        Returns
-        -------
-        ``(B, C+1+num_steps, n, d)`` positions. Each trajectory matches
-        its individual :meth:`rollout` to float64 round-off (the batch
-        runs one block-diagonal graph through the same kernels).
-        """
-        cfg = self.simulator.feature_config
-        frames = np.asarray(initial_histories, dtype=np.float64)
-        if frames.ndim != 4:
-            raise ValueError("initial_histories must be (B, C+1, n, d)")
-        b, window_len, n, dim = frames.shape
-        if window_len != cfg.history + 1:
-            raise ValueError(
-                f"need {cfg.history + 1} seed frames, got {window_len}")
-        if guard:
-            self._guard_seed(frames)
-
-        # stack trajectories into one big particle system (graph stays
-        # block-diagonal: each trajectory keeps its own neighbor cache).
-        # Explicit copy: for B=1 the transpose+reshape is a *view* of the
-        # caller's array (a size-1 axis never breaks C-contiguity, so
-        # ascontiguousarray would be a no-op) and _shift_window would
-        # mutate the caller's seed frames in place.
-        window = np.empty((window_len, b * n, dim), dtype=np.float64)
-        np.copyto(window, frames.transpose(1, 0, 2, 3)
-                  .reshape(window_len, b * n, dim))
-        types_flat = None
-        if particle_types is not None:
-            types = np.asarray(particle_types)
-            types_flat = (np.tile(types, b) if types.ndim == 1
-                          else types.reshape(b * n))
-        static_mask = cfg.static_mask(types_flat)
-
-        node_feats = np.empty((b * n, cfg.node_feature_size()),
-                              dtype=self.dtype)
-        featurizer = self.simulator.featurizer
-        if np.isscalar(materials) or materials is None:
-            featurizer.write_static_columns(node_feats, materials, types_flat)
-        else:
-            values = np.asarray(materials, dtype=np.float64)
-            if values.shape != (b,):
-                raise ValueError("materials must be scalar or length B")
-            for i in range(b):
-                featurizer.write_static_columns(
-                    node_feats[i * n:(i + 1) * n], float(values[i]),
-                    None if types_flat is None else types_flat[i * n:(i + 1) * n])
-
-        while len(self._batch_caches) < b:
-            self._batch_caches.append(self._new_cache())
-
-        self.begin_run()
-        out = np.empty((window_len + num_steps, b * n, dim), dtype=np.float64)
-        out[:window_len] = window
-        offsets = np.arange(b, dtype=np.intp) * n
-        san = active_sanitizer()
-        for t in range(num_steps):
-            with self._spans["graph"]:
-                parts_s, parts_r = [], []
-                x_t = window[-1]
-                for i in range(b):
-                    s, r = self._batch_caches[i].query(
-                        x_t[i * n:(i + 1) * n])
-                    parts_s.append(s + offsets[i])
-                    parts_r.append(r + offsets[i])
-                senders = np.concatenate(parts_s)  # lint: ignore[BKD001] — edge indices are host-side bookkeeping
-                receivers = np.concatenate(parts_r)  # lint: ignore[BKD001] — edge indices are host-side bookkeeping
-                # per-trajectory receiver blocks are sorted and offset in
-                # increasing order, so the concatenation is sorted too
-                plan = SortedSegments(receivers, b * n, backend=self.backend)
-            acc = self._forward(window, node_feats, senders, receivers,
-                                plan=plan)
-            if san is not None:
-                san.check("engine.forward", acc, step=t)
-            with self._spans["integrate"]:
-                x_next = self._integrate(window, acc, static_mask)
-            inj = get_injector()
-            if inj.armed and inj.fire("rollout.diverge"):
-                # the same chaos site as rollout, once per batched step
-                x_next = np.full_like(x_next, np.nan)
-            if san is not None:
-                san.check("engine.integrate", x_next, step=t)
-            if guard:
-                self._guard_step(t, window[-1], x_next,
-                                 out[:window_len + t], max_velocity)
-            with self._spans["integrate"]:
-                out[window_len + t] = x_next
-                self._shift_window(window, x_next)
+        if metrics is not None:
+            metrics.counter("gns.rollout_steps").inc(num_steps)
         return np.ascontiguousarray(
             out.reshape(window_len + num_steps, b, n, dim).transpose(1, 0, 2, 3))

@@ -229,32 +229,8 @@ class GNSFeaturizer:
 
         return Graph(node_features, edge_features, senders, receivers)
 
-    def build_arrays(self, position_history: list[np.ndarray],
-                     material: float | None = None,
-                     particle_types: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Tape-free mirror of :meth:`build_graph` for fast inference.
-
-        Returns ``(node_features, edge_features, senders, receivers)`` as
-        plain arrays, numerically identical to the Tensor path.
-        """
-        cfg = self.config
-        if len(position_history) != cfg.history + 1:
-            raise ValueError(
-                f"need {cfg.history + 1} position frames, got {len(position_history)}")
-        frames = [np.asarray(p, dtype=np.float64) for p in position_history]
-        x_t = frames[-1]
-
-        senders, receivers = radius_graph(
-            x_t, cfg.connectivity_radius, method=cfg.neighbor_method)
-
-        node_features = self.assemble_node_features(frames)
-        self.write_static_columns(node_features, material, particle_types)
-        edge_features = self.assemble_edge_features(x_t, senders, receivers)
-        return node_features, edge_features, senders, receivers
-
-    # -- buffer-reusing assembly (shared by build_arrays and the
-    # -- inference engine, so both produce bitwise-identical features) --
+    # -- buffer-reusing assembly for the inference engine: the same
+    # -- ufuncs as build_graph, so features are bitwise-identical --
     def assemble_node_features(self, frames, out: np.ndarray | None = None
                                ) -> np.ndarray:
         """Write the *dynamic* node-feature columns (velocity history and

@@ -11,43 +11,24 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..autodiff import Tensor, concatenate
 from ..backend import active as _active_backend
 from ..autodiff.fused import (
-    edge_mlp_first_layer, fused_edge_mlp, fused_node_mlp, mlp_forward_numpy,
+    edge_mlp_first_layer, fused_edge_mlp, fused_node_mlp,
     node_mlp_first_layer, _accel_for, _buf, _mlp_tail, _mlp_tail_accel,
 )
 from ..autodiff.scatter import (
-    SortedSegments, gather, scatter_add, scatter_softmax, segment_sum,
+    SortedSegments, gather, scatter_add, scatter_softmax,
 )
 from ..graph import Graph
 from ..nn import MLP, Module
 
 _NULL_TIMER = contextlib.nullcontext()
-
-
-def _aggregation_matrix(receivers: np.ndarray, num_edges: int, num_nodes: int,
-                        dtype) -> sparse.csr_matrix:
-    """Sparse (n × e) one-hot receiver matrix whose matmul is segment-sum.
-
-    When ``receivers`` is sorted (the :func:`repro.graph.radius_graph`
-    contract) the CSR structure is written directly — no COO sort — and
-    is bitwise-identical to the COO-constructed matrix.
-    """
-    data = np.ones(num_edges, dtype=dtype)
-    indices = np.arange(num_edges, dtype=np.int32)
-    if num_edges == 0 or np.all(receivers[:-1] <= receivers[1:]):
-        indptr = np.searchsorted(receivers, np.arange(num_nodes + 1)
-                                 ).astype(np.int32)
-        return sparse.csr_matrix((data, indices, indptr),
-                                 shape=(num_nodes, num_edges))
-    return sparse.csr_matrix((data, (receivers, indices)),
-                             shape=(num_nodes, num_edges))
 
 __all__ = ["GNSNetworkConfig", "InteractionNetwork", "EncodeProcessDecode"]
 
@@ -102,11 +83,14 @@ class InteractionNetwork(Module):
 
     def forward(self, nodes: Tensor, edges: Tensor,
                 senders: np.ndarray, receivers: np.ndarray,
-                collect_attention: list | None = None,
+                probe=None,
                 plan: SortedSegments | None = None,
                 sender_plan: SortedSegments | None = None
                 ) -> tuple[Tensor, Tensor]:
-        """``plan`` indexes by receiver, ``sender_plan`` by sender."""
+        """``plan`` indexes by receiver, ``sender_plan`` by sender.
+        ``probe(messages, alpha)``, when given, sees the block's edge
+        messages and its attention coefficients (``None`` without
+        attention)."""
         n = nodes.shape[0]
         if self.attention:
             # attention needs the explicit concatenated edge input for the
@@ -117,8 +101,8 @@ class InteractionNetwork(Module):
             messages = self.edge_mlp(edge_in)
             alpha = self.attention_coefficients(edge_in, receivers, n,
                                                 plan=plan)
-            if collect_attention is not None:
-                collect_attention.append(alpha.data.copy())
+            if probe is not None:
+                probe(messages, alpha)
             weighted = messages * alpha.reshape(-1, 1)
             aggregated = scatter_add(weighted, receivers, n, plan=plan)
             node_update = self.node_mlp(concatenate([nodes, aggregated], axis=1))
@@ -131,6 +115,8 @@ class InteractionNetwork(Module):
                                   *self.edge_mlp.fused_params(),
                                   sender_plan=sender_plan,
                                   receiver_plan=plan)
+        if probe is not None:
+            probe(messages, None)
         aggregated = scatter_add(messages, receivers, n, plan=plan)
         new_nodes = fused_node_mlp(nodes, aggregated,
                                    *self.node_mlp.fused_params(),
@@ -155,7 +141,12 @@ class EncodeProcessDecode(Module):
         self.decoder = MLP(cfg._mlp_sizes(ls, cfg.output_size), rng,
                            layer_norm=False)
 
-    def forward(self, graph: Graph) -> Tensor:
+    def forward(self, graph: Graph, probe=None) -> Tensor:
+        """Tape forward. ``probe(block, messages, alpha)``, when given, is
+        called once per message-passing block with the block index, its
+        edge messages and its attention coefficients (``None`` without
+        attention) — the interpretability hook (Section 6); it does not
+        change the result."""
         from ..obs import span
         with span("encode"):
             nodes = self.node_encoder(graph.node_features)
@@ -165,38 +156,13 @@ class EncodeProcessDecode(Module):
             # block (the backward's segment sums reuse their matrices)
             plan = SortedSegments(graph.receivers, nodes.shape[0])
             sender_plan = SortedSegments(graph.senders, nodes.shape[0])
-            for block in self.blocks:
-                nodes, edges = block(nodes, edges, graph.senders,
-                                     graph.receivers, plan=plan,
-                                     sender_plan=sender_plan)
+            for bi, block in enumerate(self.blocks):
+                nodes, edges = block(
+                    nodes, edges, graph.senders, graph.receivers,
+                    probe=None if probe is None else functools.partial(probe, bi),
+                    plan=plan, sender_plan=sender_plan)
         with span("decode"):
             return self.decoder(nodes)
-
-    def forward_with_attention(self, graph: Graph
-                               ) -> tuple[Tensor, list[np.ndarray]]:
-        """Forward pass that also returns each attention block's per-edge
-        coefficients (empty list for non-attention processors)."""
-        collected: list[np.ndarray] = []
-        nodes = self.node_encoder(graph.node_features)
-        edges = self.edge_encoder(graph.edge_features)
-        plan = SortedSegments(graph.receivers, nodes.shape[0])
-        sender_plan = SortedSegments(graph.senders, nodes.shape[0])
-        for block in self.blocks:
-            nodes, edges = block(nodes, edges, graph.senders, graph.receivers,
-                                 collect_attention=collected, plan=plan,
-                                 sender_plan=sender_plan)
-        return self.decoder(nodes), collected
-
-    def forward_numpy(self, node_features: np.ndarray, edge_features: np.ndarray,
-                      senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Tape-free inference: plain-NumPy mirror of :meth:`forward`.
-
-        Used by the fast rollout path (hybrid solver, speedup benchmarks)
-        where no gradients are required; numerically identical to the
-        Tensor path.
-        """
-        return self.forward_fast(node_features, edge_features, senders,
-                                 receivers)
 
     def forward_fast(self, node_features: np.ndarray,
                      edge_features: np.ndarray,
@@ -207,23 +173,22 @@ class EncodeProcessDecode(Module):
         """No-grad forward with optional buffer reuse and stage timing.
 
         Runs the same fused kernels as the tape path (split first layers,
-        in-place LayerNorm, one CSR aggregation matrix shared by every
-        block), so float64 results are bitwise-identical to
-        :meth:`forward`. With ``work`` (a
-        :class:`repro.utils.buffers.Workspace`) every edge/node-sized
-        temporary lives in a reusable buffer — the returned array is a
-        workspace view, valid until the next call. ``timers`` may map
-        ``"encode"/"process"/"decode"`` to accumulating
-        :class:`repro.utils.Timer` objects.
+        in-place LayerNorm, one aggregation plan shared by every block),
+        so float64 results are bitwise-identical to :meth:`forward`.
+        With ``work`` (a :class:`repro.utils.buffers.Workspace`) every
+        edge/node-sized temporary lives in a reusable buffer — the
+        returned array is a workspace view, valid until the next call.
+        ``timers`` may map ``"encode"/"process"/"decode"`` to
+        :class:`repro.obs.Tracer` spans (the engine passes its stage
+        spans).
 
         ``plan`` is a :class:`SortedSegments` over ``receivers``; the
-        engine builds it once per neighbor-list rebuild so every block of
-        every step between rebuilds shares one set of aggregation
-        structures (bitwise-identical to the per-call matrix). On float32
-        inputs the block loop additionally dispatches to the active
-        backend's compiled float32 kernels when available. ``backend``
-        pins the array backend (the engine resolves it once at
-        construction); ``None`` defers to the process-active backend.
+        engine builds it once per step so every block shares one set of
+        aggregation structures, and it is built here when not given. On
+        float32 inputs the block loop additionally dispatches to the
+        active backend's compiled float32 kernels when available.
+        ``backend`` pins the array backend (the engine resolves it once
+        at construction); ``None`` defers to the process-active backend.
         """
         timers = timers or {}
         getbuf = work.get if work is not None else None
@@ -240,16 +205,17 @@ class EncodeProcessDecode(Module):
                                                     "enc.edge", backend=b)
 
         with timers.get("process", _NULL_TIMER):
-            agg_mat = None if plan is not None else \
-                _aggregation_matrix(receivers, e, n, dtype)
+            plan = plan or SortedSegments(receivers, n, backend=b)
             kern = _accel_for(nodes, None, b)
             if kern is not None and (senders.dtype != np.int64
                                      or receivers.dtype != np.int64):
                 kern = None
             last = len(self.blocks) - 1
             for bi, block in enumerate(self.blocks):
-                ews, ebs, egamma, ebeta, eeps = block.edge_mlp.arrays(dtype)
                 if block.attention:
+                    # the tape's attention block op for op: concatenated
+                    # edge input, scatter_softmax's reciprocal, node MLP
+                    # on [nodes, aggregated]
                     edge_in = xp.concatenate(
                         [edges, nodes.take(senders, axis=0),
                          nodes.take(receivers, axis=0)], axis=1)
@@ -259,20 +225,18 @@ class EncodeProcessDecode(Module):
                         edge_in, backend=b).ravel()
                     # dtype follows the logits so the fp32 fast path is
                     # not silently promoted back to float64
-                    if plan is not None:
-                        seg_max = plan.segment_max(logits, empty=-np.inf)
-                    else:
-                        seg_max = xp.full(n, -np.inf, dtype=logits.dtype)
-                        b.index_max(seg_max, receivers, logits)
+                    seg_max = plan.segment_max(logits, empty=-np.inf)
                     seg_max[~xp.isfinite(seg_max)] = 0.0
                     exp = xp.exp(logits - seg_max[receivers])
-                    denom = segment_sum(exp, receivers, n, plan=plan)
-                    alpha = exp / denom[receivers]
-                    weighted = messages * alpha[:, None]
-                    aggregated = plan.segment_sum(weighted) \
-                        if plan is not None else segment_sum(weighted,
-                                                             receivers, n)
+                    # gathering before the reciprocal gives the same bits
+                    # and never divides by an isolated node's zero
+                    alpha = exp * plan.segment_sum(exp)[receivers] ** -1.0
+                    aggregated = plan.segment_sum(messages * alpha[:, None])
+                    node_update = block.node_mlp.forward_numpy(
+                        xp.concatenate([nodes, aggregated], axis=1),
+                        backend=b)
                 else:
+                    ews, ebs, egamma, ebeta, eeps = block.edge_mlp.arrays(dtype)
                     hidden = ews[0].shape[1]
                     h0 = _buf(getbuf, "blk.edge.0", (e, hidden), dtype)
                     if kern is not None and len(ews) > 1:
@@ -301,34 +265,31 @@ class EncodeProcessDecode(Module):
                         messages = _mlp_tail(h0, ews, ebs, egamma, ebeta,
                                              eeps, getbuf=getbuf,
                                              tag="blk.edge", backend=b)
-                    if plan is not None:
-                        agg_out = _buf(getbuf, "blk.agg",
-                                       (n, messages.shape[1]), dtype) \
-                            if dtype == np.float32 else None
-                        aggregated = plan.segment_sum(messages, out=agg_out)
+                    agg_out = _buf(getbuf, "blk.agg",
+                                   (n, messages.shape[1]), dtype) \
+                        if dtype == np.float32 else None
+                    aggregated = plan.segment_sum(messages, out=agg_out)
+                    nws, nbs, ngamma, nbeta, neps = block.node_mlp.arrays(dtype)
+                    if kern is not None and len(nws) > 1:
+                        width = nodes.shape[1]
+                        h0 = xp.matmul(nodes, nws[0][:width],
+                                       out=_buf(getbuf, "blk.node.0",
+                                                (n, nws[0].shape[1]), dtype))
+                        h0 += xp.matmul(aggregated, nws[0][width:],
+                                        out=_buf(getbuf, "blk.node.agg",
+                                                 (n, nws[0].shape[1]), dtype))
+                        node_update = _mlp_tail_accel(h0, nws, nbs, ngamma,
+                                                      nbeta, neps, getbuf,
+                                                      "blk.node", kern,
+                                                      bias0=nbs[0])
                     else:
-                        aggregated = agg_mat @ messages
-                nws, nbs, ngamma, nbeta, neps = block.node_mlp.arrays(dtype)
-                if kern is not None and len(nws) > 1 and not block.attention:
-                    width = nodes.shape[1]
-                    h0 = xp.matmul(nodes, nws[0][:width],
-                                   out=_buf(getbuf, "blk.node.0",
-                                            (n, nws[0].shape[1]), dtype))
-                    h0 += xp.matmul(aggregated, nws[0][width:],
-                                    out=_buf(getbuf, "blk.node.agg",
-                                             (n, nws[0].shape[1]), dtype))
-                    node_update = _mlp_tail_accel(h0, nws, nbs, ngamma,
-                                                  nbeta, neps, getbuf,
-                                                  "blk.node", kern,
-                                                  bias0=nbs[0])
-                else:
-                    h0 = node_mlp_first_layer(
-                        nodes, aggregated, nws[0], nbs[0],
-                        out=_buf(getbuf, "blk.node.0", (n, nws[0].shape[1]),
-                                 dtype))
-                    node_update = _mlp_tail(h0, nws, nbs, ngamma, nbeta, neps,
-                                            getbuf=getbuf, tag="blk.node",
-                                            backend=b)
+                        h0 = node_mlp_first_layer(
+                            nodes, aggregated, nws[0], nbs[0],
+                            out=_buf(getbuf, "blk.node.0",
+                                     (n, nws[0].shape[1]), dtype))
+                        node_update = _mlp_tail(h0, nws, nbs, ngamma, nbeta,
+                                                neps, getbuf=getbuf,
+                                                tag="blk.node", backend=b)
                 nodes += node_update
                 if bi != last:
                     # the final block's edge residual is dead — nothing
@@ -338,19 +299,3 @@ class EncodeProcessDecode(Module):
         with timers.get("decode", _NULL_TIMER):
             out = self.decoder.forward_numpy(nodes, getbuf, "dec", backend=b)
         return out
-
-    def forward_with_latents(self, graph: Graph) -> tuple[Tensor, list[Tensor]]:
-        """Forward pass that also returns each block's edge messages —
-        used by the interpretability pipeline (Section 6)."""
-        nodes = self.node_encoder(graph.node_features)
-        edges = self.edge_encoder(graph.edge_features)
-        plan = SortedSegments(graph.receivers, nodes.shape[0])
-        sender_plan = SortedSegments(graph.senders, nodes.shape[0])
-        message_log: list[Tensor] = []
-        for block in self.blocks:
-            new_nodes, new_edges = block(nodes, edges, graph.senders,
-                                         graph.receivers, plan=plan,
-                                         sender_plan=sender_plan)
-            message_log.append(new_edges - edges)  # the block's raw messages
-            nodes, edges = new_nodes, new_edges
-        return self.decoder(nodes), message_log

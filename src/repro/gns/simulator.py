@@ -9,8 +9,11 @@ Working in displacement units (dt absorbed into the frame spacing):
 
 Two rollout paths:
 
-* :meth:`rollout` — fast inference (``no_grad``), NumPy in/out; used for
-  speedup benchmarks (E2) and the hybrid solver (E4).
+* :meth:`rollout` — tape-free inference through the
+  :class:`~repro.gns.engine.InferenceEngine`, NumPy in/out; used for
+  speedup benchmarks (E2) and the hybrid solver (E4). ``fast=False``
+  runs :meth:`step` under ``no_grad`` instead — the float64 oracle the
+  engine is bitwise-equal to.
 * :meth:`rollout_differentiable` — keeps the autodiff tape across steps so
   losses on the final state differentiate back to the *material parameter*
   (and initial conditions); used by the inverse problem (E5). Matches the
@@ -86,25 +89,6 @@ class LearnedSimulator(Module):
             x_next = where(static[:, None], x_t, x_next)
         return x_next
 
-    def step_numpy(self, position_history: list[np.ndarray],
-                   material: float | None = None,
-                   particle_types: np.ndarray | None = None) -> np.ndarray:
-        """Tape-free single step (fast inference path)."""
-        node_f, edge_f, senders, receivers = self.featurizer.build_arrays(
-            position_history, material, particle_types)
-        if self.inference_dtype != np.float64:
-            node_f = node_f.astype(self.inference_dtype)
-            edge_f = edge_f.astype(self.inference_dtype)
-        acc_norm = self.network.forward_numpy(node_f, edge_f, senders,
-                                              receivers).astype(np.float64)
-        acc = self.featurizer.denormalize_acceleration(acc_norm)
-        x_t, x_prev = position_history[-1], position_history[-2]
-        x_next = x_t + (x_t - x_prev + acc)
-        static = self.feature_config.static_mask(particle_types)
-        if static is not None and static.any():
-            x_next = np.where(static[:, None], x_t, x_next)
-        return x_next
-
     # ------------------------------------------------------------------
     def engine(self, skin: float | None = None, dtype=None, backend=None):
         """The lazily-created :class:`~repro.gns.engine.InferenceEngine`
@@ -131,7 +115,8 @@ class LearnedSimulator(Module):
                 fast: bool = True, skin: float | None = None,
                 max_velocity: float | None = None,
                 guard: bool = True, dtype=None, backend=None) -> np.ndarray:
-        """Fast inference rollout (tape-free NumPy path).
+        """Inference rollout (no gradient tape) through the :meth:`engine`,
+        or with ``fast=False`` through the float64 tape oracle.
 
         Parameters
         ----------
@@ -139,9 +124,11 @@ class LearnedSimulator(Module):
             warm-up frames).
         num_steps: prediction steps beyond the seed.
         fast: route through the buffer-reusing :meth:`engine` with Verlet
-            neighbor caching (float64 results bitwise-identical to the
-            naive path); ``False`` falls back to the per-step
-            :meth:`step_numpy` loop.
+            neighbor caching; ``False`` runs :meth:`step` (the tape
+            forward) under ``no_grad`` — the float64 oracle the engine's
+            float64 trajectories are bitwise-equal to. The oracle runs
+            float64 only: a float32 ``dtype`` or ``inference_dtype``
+            raises ``ValueError``, as does a ``backend``.
         skin: Verlet skin radius for the fast path (None → 0.25 R).
         max_velocity: optional per-step displacement limit for the
             divergence guard.
@@ -152,7 +139,7 @@ class LearnedSimulator(Module):
             out garbage for the remaining steps.
         dtype: run the network in this dtype (float32 trades ~1e-4
             relative accuracy for speed; None follows
-            ``inference_dtype``). Fast path only.
+            ``inference_dtype``).
         backend: array backend name or handle for the network forward
             (None follows ``REPRO_BACKEND`` / the explicit process
             override). Fast path only.
@@ -165,24 +152,27 @@ class LearnedSimulator(Module):
             return self.engine(skin, dtype=dtype, backend=backend).rollout(
                 initial_history, num_steps, material, particle_types,
                 max_velocity=max_velocity, guard=guard)
-        if dtype is not None and np.dtype(dtype) != np.dtype(self.inference_dtype):
-            raise ValueError("dtype override requires fast=True")
+        want = np.dtype(dtype if dtype is not None else self.inference_dtype)
+        if want != np.float64:
+            raise ValueError(f"fast=False is the float64 tape oracle; "
+                             f"{want} requires fast=True")
         if backend is not None:
             raise ValueError("backend override requires fast=True")
         from .engine import InferenceEngine
 
         frames = [np.asarray(f, dtype=np.float64) for f in initial_history]
         if guard:
-            InferenceEngine._guard_seed(np.stack(frames, axis=0))
+            InferenceEngine._guard_seed(np.stack(frames)[np.newaxis])
         window_len = self.feature_config.history + 1
-        for t in range(num_steps):
-            x_next = self.step_numpy(frames[-window_len:], material,
-                                     particle_types)
-            if guard:
-                InferenceEngine._guard_step(
-                    t, frames[-1], x_next,
-                    lambda: np.stack(frames, axis=0), max_velocity)
-            frames.append(x_next)
+        with no_grad():
+            for t in range(num_steps):
+                x_next = self.step(frames[-window_len:], material,
+                                   particle_types).data
+                if guard:
+                    InferenceEngine._guard_step(
+                        t, frames[-1], x_next,
+                        lambda: np.stack(frames, axis=0), max_velocity)
+                frames.append(x_next)
         return np.stack(frames, axis=0)
 
     def rollout_batch(self, initial_histories: np.ndarray, num_steps: int,

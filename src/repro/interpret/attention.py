@@ -29,11 +29,13 @@ def extract_attention(simulator: LearnedSimulator,
     """
     if not simulator.network_config.attention:
         raise ValueError("simulator has no attention processor")
+    alphas: list[np.ndarray] = []
     with no_grad():
         graph = simulator.featurizer.build_graph(
             [Tensor(np.asarray(f)) for f in position_history],
             material, particle_types)
-        _, alphas = simulator.network.forward_with_attention(graph)
+        simulator.network(graph, probe=lambda block, messages, alpha:
+                          alphas.append(alpha.data))
     distances = graph.edge_features.data[:, -1] * \
         simulator.feature_config.connectivity_radius
     return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, no_grad
+from ..autodiff.scatter import SortedSegments
 from ..gns.network import EncodeProcessDecode, GNSNetworkConfig
 from ..nn import Module
 from ..utils.buffers import Workspace
@@ -43,10 +44,13 @@ class MeshNetSimulator(Module):
         self._constrained = (spec.node_types == NodeType.INLET) | \
                             (spec.node_types == NodeType.WALL)
         # the mesh never changes: the one-hot type block is written once,
-        # and MLP/scratch buffers are reused across every step
+        # one aggregation plan serves every step (its stable argsort of
+        # the unsorted receivers keeps the bits), and MLP/scratch buffers
+        # are reused across every step
         self._node_feats = np.empty((spec.coords.shape[0],
                                      cfg.node_input_size))
         self._node_feats[:, 2:] = spec.one_hot_types()
+        self._plan = SortedSegments(spec.receivers, spec.coords.shape[0])
         self._work = Workspace()
 
     # ------------------------------------------------------------------
@@ -57,20 +61,19 @@ class MeshNetSimulator(Module):
         return self.network(graph)
 
     def step(self, velocities: np.ndarray,
-             boundary_values: np.ndarray | None = None,
-             timers: dict | None = None) -> np.ndarray:
+             boundary_values: np.ndarray | None = None) -> np.ndarray:
         """One forward step with hard boundary re-imposition (tape-free).
 
-        The mesh graph is static, so connectivity and the one-hot type
-        columns are built once in ``__init__``; only the two velocity
-        columns are rewritten here, and the network runs through reusable
-        workspace buffers.
+        The mesh graph is static, so connectivity, its aggregation plan
+        and the one-hot type columns are built once in ``__init__``; only
+        the two velocity columns are rewritten here, and the network runs
+        through reusable workspace buffers.
         """
         np.divide(velocities, self.velocity_scale,
                   out=self._node_feats[:, :2])
         delta = self.network.forward_fast(
             self._node_feats, self._static_edges, self.spec.senders,
-            self.spec.receivers, work=self._work, timers=timers
+            self.spec.receivers, work=self._work, plan=self._plan
         ) * self.delta_scale
         nxt = velocities + delta
         if boundary_values is not None:
@@ -78,19 +81,16 @@ class MeshNetSimulator(Module):
         return nxt
 
     def rollout(self, initial_velocities: np.ndarray, num_steps: int,
-                boundary_values: np.ndarray | None = None,
-                timers: dict | None = None) -> np.ndarray:
+                boundary_values: np.ndarray | None = None) -> np.ndarray:
         """Autoregressive rollout → ``(num_steps+1, N, 2)``.
 
         ``boundary_values`` defaults to the initial field (steady inlet).
-        ``timers`` may map ``"encode"/"process"/"decode"`` to
-        :class:`repro.utils.Timer` objects for a per-stage breakdown.
         """
         if boundary_values is None:
             boundary_values = initial_velocities
         frames = [np.asarray(initial_velocities, dtype=np.float64)]
         for _ in range(num_steps):
-            frames.append(self.step(frames[-1], boundary_values, timers))
+            frames.append(self.step(frames[-1], boundary_values))
         return np.stack(frames, axis=0)
 
     # ------------------------------------------------------------------

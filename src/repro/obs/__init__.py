@@ -15,9 +15,8 @@ The measurement layer the paper's quantitative claims rest on:
   velocity explosion, energy gain, momentum drift, GNS-vs-MPM
   divergence) raising structured :class:`HealthEvent` findings instead
   of letting garbage trajectories flow through silently.
-* :mod:`~repro.obs.timing` / :mod:`~repro.obs.profiling` — the classic
-  :class:`Timer` / :func:`profile_block` helpers (moved here from
-  ``repro.utils``, which still re-exports them).
+* :mod:`~repro.obs.profiling` — :func:`profile_block`, a cProfile
+  context manager for hotspot listings (``--profile``).
 * :mod:`~repro.obs.deep` — op-level tape profiling (span → op cost
   trees via the ``Tensor._make`` hook) and deterministic merging of
   per-worker telemetry shards into one labeled timeline.
@@ -58,7 +57,6 @@ from .session import (
     read_telemetry, read_telemetry_tolerant,
 )
 from .summarize import summarize_telemetry
-from .timing import Timer, benchmark
 from .trace import (
     NULL_SPAN, Span, Tracer, disable_tracing, enable_tracing, get_tracer,
     reset_tracing, span, tracing_enabled,
@@ -89,8 +87,8 @@ __all__ = [
     "VelocityExplosionMonitor", "EnergyGainMonitor", "MomentumDriftMonitor",
     "DivergenceMonitor", "check_trajectory", "check_loss_curve",
     "default_monitors", "RolloutDivergedError",
-    # timing / profiling (consolidated from repro.utils)
-    "Timer", "benchmark", "profile_block", "top_functions",
+    # cProfile
+    "profile_block", "top_functions",
     # umbrella switches
     "enable", "disable", "reset",
 ]

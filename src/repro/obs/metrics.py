@@ -18,6 +18,7 @@ turns it on.
 from __future__ import annotations
 
 import math
+import threading
 
 __all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry",
            "get_registry", "enable_metrics", "disable_metrics",
@@ -277,14 +278,18 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._metrics: dict[tuple, _Metric] = {}
+        # serve worker threads get-or-create the same metrics: without
+        # the lock two creators race and one's updates land in an orphan
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, labels: dict, **kwargs):
         key = (cls.kind, name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(name, labels=labels, registry=self, **kwargs)
-            self._metrics[key] = metric
+        with self._lock:
+            metric = self._metrics.get(key)
+            if metric is None:
+                metric = cls(name, labels=labels, registry=self, **kwargs)
+                self._metrics[key] = metric
         return metric
 
     def counter(self, name: str, **labels) -> Counter:

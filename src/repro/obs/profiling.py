@@ -1,8 +1,4 @@
-"""cProfile helpers (moved from ``repro.utils.profiling``).
-
-Per the HPC guides: no optimization without measuring. ``repro.utils``
-re-exports both names for backwards compatibility.
-"""
+"""cProfile helpers: hotspot listings for ``--profile`` runs."""
 
 from __future__ import annotations
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..gns.engine import InferenceEngine
 from ..obs.health import RolloutDivergedError
+from ..obs.metrics import get_registry
 from ..resilience.faults import get_injector
 from ..resilience.retry import (
     AttemptTimeoutError, RetryBudget, RetryExhaustedError, RetryPolicy,
@@ -86,7 +87,10 @@ class EngineWorker(threading.Thread):
         engine = self._engines.get(checkpoint)
         if engine is None:
             cfg = self.service.config
+            # the global registry: the engine's step and edge histograms
+            # land in serve telemetry beside the service's own metrics
             engine = InferenceEngine(self.service.simulators[checkpoint],
+                                     metrics=get_registry(),
                                      dtype=cfg.engine_dtype,
                                      backend=cfg.engine_backend)
             self._engines[checkpoint] = engine

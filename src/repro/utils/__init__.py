@@ -1,14 +1,6 @@
-"""Seeding and buffer utilities.
+"""Seeding and buffer utilities."""
 
-``Timer``/``benchmark``/``profile_block``/``top_functions`` moved to
-:mod:`repro.obs` (the unified telemetry subsystem) and are re-exported
-here unchanged for backwards compatibility.
-"""
-
-from .timer import Timer, benchmark
 from .seeding import make_rng, seed_everything, spawn_rngs
-from .profiling import profile_block, top_functions
 from .buffers import Workspace
 
-__all__ = ["Timer", "benchmark", "make_rng", "seed_everything",
-           "spawn_rngs", "profile_block", "top_functions", "Workspace"]
+__all__ = ["make_rng", "seed_everything", "spawn_rngs", "Workspace"]

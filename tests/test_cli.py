@@ -78,6 +78,24 @@ class TestTrainRollout:
         out = capsys.readouterr().out
         assert "final error" in out
 
+    def test_no_fast_matches_default_float64_report(self, workspace, capsys):
+        # --no-fast runs the float64 tape oracle; the default float64
+        # engine run is bitwise-equal to it, so the reports agree
+        args = ["rollout", "--checkpoint", str(workspace["checkpoint"]),
+                "--dataset", str(workspace["dataset"]), "--steps", "3"]
+        assert main(args) == 0
+        engine_report = capsys.readouterr().out
+        assert main(args + ["--no-fast"]) == 0
+        assert capsys.readouterr().out == engine_report
+        assert "final error" in engine_report
+
+    def test_no_fast_rejects_float32(self, workspace, capsys):
+        rc = main(["rollout", "--checkpoint", str(workspace["checkpoint"]),
+                   "--dataset", str(workspace["dataset"]),
+                   "--steps", "3", "--no-fast", "--fp32"])
+        assert rc == 2
+        assert "--no-fast" in capsys.readouterr().err
+
     def test_train_with_metrics_csv(self, workspace, tmp_path):
         metrics = tmp_path / "metrics.csv"
         rc = main(["train", "--dataset", str(workspace["dataset"]),

@@ -111,6 +111,18 @@ class TestPlumbing:
         with pytest.raises(ValueError, match="fast=True"):
             sim.rollout(frames, 1, fast=False, dtype=np.float32)
 
+    def test_oracle_rejects_float32_inference_dtype(self):
+        # the tape oracle runs float64 only: a float32 inference_dtype
+        # raises instead of silently running float64
+        sim = _make_sim()
+        sim.inference_dtype = np.float32
+        frames = _seed_frames(sim)
+        with pytest.raises(ValueError, match="float64 tape oracle"):
+            sim.rollout(frames, 1, fast=False)
+        np.testing.assert_array_equal(
+            sim.rollout(frames, 1, fast=False, dtype=np.float64),
+            sim.rollout(frames, 1, dtype=np.float64))
+
     def test_batch_rollout_fp32(self):
         sim = _make_sim()
         frames = _seed_frames(sim)

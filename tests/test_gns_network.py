@@ -88,12 +88,24 @@ class TestEncodeProcessDecode:
         assert np.all(np.isfinite(out.data))
 
     def test_forward_with_latents_messages(self):
-        net = EncodeProcessDecode(_cfg(), np.random.default_rng(0))
-        g = _toy_graph()
-        out, messages = net.forward_with_latents(g)
-        assert len(messages) == 2  # one per message-passing step
-        assert messages[0].shape == (g.num_edges, 8)
-        np.testing.assert_allclose(out.data, net(g).data)
+        # forward's probe sees each block's edge messages (and attention)
+        for attention in (False, True):
+            net = EncodeProcessDecode(_cfg(attention=attention),
+                                      np.random.default_rng(0))
+            g = _toy_graph()
+            calls = []
+            out = net(g, probe=lambda block, messages, alpha:
+                      calls.append((block, messages, alpha)))
+            # once per message-passing block, in order
+            assert [c[0] for c in calls] == [0, 1]
+            for _, messages, alpha in calls:
+                assert messages.shape == (g.num_edges, 8)
+                if attention:
+                    assert alpha.shape == (g.num_edges,)
+                else:
+                    assert alpha is None
+            # a probe observes; the output keeps its bits
+            np.testing.assert_array_equal(out.data, net(g).data)
 
 
 class TestInteractionNetwork:

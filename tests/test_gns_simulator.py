@@ -108,7 +108,7 @@ class TestDifferentiableRollout:
         seed = _seed_history()
         fast = sim.rollout(seed, 3)
         slow = sim.rollout_differentiable([Tensor(f) for f in seed], 3)
-        np.testing.assert_allclose(fast[-1], slow[-1].data, atol=1e-12)
+        np.testing.assert_array_equal(fast, np.stack([f.data for f in slow]))
 
 
 class TestTraining:

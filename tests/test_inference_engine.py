@@ -1,11 +1,15 @@
-"""Inference engine: bitwise parity with the naive path, batching, timing."""
+"""Inference engine: bitwise parity with the tape oracle, batching, timing."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.autodiff import no_grad
 from repro.gns import (
     FeatureConfig, GNSNetworkConfig, InferenceEngine, LearnedSimulator, Stats,
 )
+from repro.graph import radius_graph
 
 
 def make_sim(use_material=True, types=False, attention=False, history=3,
@@ -34,19 +38,101 @@ def make_seed(sim, n=50, seed=0):
     return np.stack(frames, axis=0)
 
 
-class TestBitwiseParity:
-    @pytest.mark.parametrize("types", [False, True])
-    def test_fast_matches_naive(self, types):
-        sim = make_sim(types=types)
-        seed = make_seed(sim)
-        n = seed.shape[1]
-        ptypes = (np.arange(n) % 7 == 0).astype(np.int64) if types else None
-        naive = sim.rollout(seed, 15, material=30.0, particle_types=ptypes,
-                            fast=False)
-        fast = sim.rollout(seed, 15, material=30.0, particle_types=ptypes,
-                           fast=True)
-        np.testing.assert_array_equal(naive, fast)
+# ----------------------------------------------------------------------
+# Engine vs tape oracle: one matrix over graphs × paths × backends
+# ----------------------------------------------------------------------
 
+#: graph kinds of the parity matrix
+PARITY_GRAPHS = ("plain", "attention", "typed-static", "no-material",
+                 "zero-edges", "isolated-attention")
+PARITY_STEPS = 8
+#: float32 engine vs float64 engine, max |Δx| over the parity rollouts
+FP32_DRIFT = 1e-5
+
+
+def _place(seeds, points):
+    """Shift the first ``len(points)`` particles of every seed so that
+    their last frame sits on ``points`` (their motion is kept)."""
+    seeds = seeds.copy()
+    seeds[:, :, :len(points)] += points - seeds[:, -1:, :len(points)]
+    return seeds
+
+
+def _parity_case(graph):
+    """Simulator, three seeds, their materials and the shared particle
+    types for one graph kind; trajectory 1 is the one compared."""
+    sim = make_sim(use_material=graph != "no-material",
+                   types=graph == "typed-static",
+                   attention=graph in ("attention", "isolated-attention"))
+    seeds = np.stack([make_seed(sim, n=40, seed=s) for s in range(3)])
+    if graph == "zero-edges":
+        # a lattice spaced beyond the connectivity radius (0.15)
+        grid = np.stack(np.meshgrid(np.linspace(0.1, 0.9, 5),
+                                    np.linspace(0.1, 0.9, 5)), -1)
+        seeds = _place(seeds[:, :, :25], grid.reshape(25, 2))
+    elif graph == "isolated-attention":
+        # three corner particles, far from the cluster and each other
+        seeds = _place(seeds, np.array([[0.05, 0.05], [0.95, 0.05],
+                                        [0.05, 0.95]]))
+    materials = None if graph == "no-material" else [25.0, 30.0, 35.0]
+    n = seeds.shape[2]
+    types = ((np.arange(n) % 7 == 0).astype(np.int64)
+             if graph == "typed-static" else None)
+    # the seed graph is what its kind claims
+    senders, receivers = radius_graph(seeds[1, -1],
+                                      sim.feature_config.connectivity_radius)
+    in_degree = np.bincount(receivers, minlength=n)
+    if graph == "zero-edges":
+        assert senders.size == 0
+    elif graph == "isolated-attention":
+        assert (in_degree[:3] == 0).all() and in_degree[3:].all()
+    else:
+        assert in_degree.all()
+    return sim, seeds, materials, types
+
+
+@pytest.mark.parametrize("backend", ["numpy", "accel"])
+@pytest.mark.parametrize("path", ["rollout", "batch-member"])
+@pytest.mark.parametrize("graph", PARITY_GRAPHS)
+def test_engine_matches_tape_oracle(graph, path, backend):
+    """Float64 engine trajectories equal the tape bit for bit — through
+    ``fast=False`` and through ``rollout_differentiable`` under
+    ``no_grad`` — solo and as member 1 of a B=3 batch, on either
+    backend; the float32 engine stays within the drift bound."""
+    sim, seeds, materials, types = _parity_case(graph)
+    material = None if materials is None else materials[1]
+    # the tape's scatter_softmax takes the reciprocal of an isolated
+    # node's zero denominator (a value no edge gathers)
+    with np.errstate(divide="ignore"):
+        oracle = sim.rollout(seeds[1], PARITY_STEPS, material=material,
+                             particle_types=types, fast=False)
+        with no_grad():
+            tape = sim.rollout_differentiable(list(seeds[1]), PARITY_STEPS,
+                                              material=material,
+                                              particle_types=types)
+    tape = np.stack([f.data for f in tape])
+
+    def engine(dtype):
+        with warnings.catch_warnings():
+            # the engine gathers before the reciprocal: no divide by zero
+            warnings.simplefilter("error", RuntimeWarning)
+            if path == "rollout":
+                return sim.rollout(seeds[1], PARITY_STEPS, material=material,
+                                   particle_types=types, dtype=dtype,
+                                   backend=backend)
+            return sim.rollout_batch(seeds, PARITY_STEPS, materials=materials,
+                                     particle_types=types, dtype=dtype,
+                                     backend=backend)[1]
+
+    f64 = engine(np.float64)
+    np.testing.assert_array_equal(f64, oracle)
+    np.testing.assert_array_equal(f64, tape)
+    assert not np.array_equal(f64[-1], f64[-2])  # the rollout moved
+    f32 = engine(np.float32)
+    assert np.abs(f32 - f64).max() < FP32_DRIFT
+
+
+class TestBitwiseParity:
     def test_cached_matches_uncached(self):
         sim = make_sim()
         seed = make_seed(sim)
@@ -56,13 +142,6 @@ class TestBitwiseParity:
         uncached = sim.rollout(seed, 20, material=30.0, skin=0.0)
         np.testing.assert_array_equal(cached, uncached)
 
-    def test_attention_network_matches(self):
-        sim = make_sim(attention=True)
-        seed = make_seed(sim, n=30)
-        naive = sim.rollout(seed, 5, material=30.0, fast=False)
-        fast = sim.rollout(seed, 5, material=30.0, fast=True)
-        np.testing.assert_array_equal(naive, fast)
-
     def test_engine_reuse_stays_exact(self):
         # a second rollout through the same engine (warm buffers, stale
         # cache from the previous trajectory) must still be exact
@@ -71,8 +150,8 @@ class TestBitwiseParity:
         seed_b = make_seed(sim, seed=9)
         sim.rollout(seed_a, 10, material=30.0)
         fast = sim.rollout(seed_b, 10, material=25.0)
-        naive = sim.rollout(seed_b, 10, material=25.0, fast=False)
-        np.testing.assert_array_equal(naive, fast)
+        oracle = sim.rollout(seed_b, 10, material=25.0, fast=False)
+        np.testing.assert_array_equal(oracle, fast)
 
 
 class TestBatchRollout:
@@ -190,9 +269,10 @@ class TestEngineInstrumentation:
         sim.inference_dtype = np.float32
         seed = make_seed(sim)
         fast = sim.rollout(seed, 5, material=30.0)
-        naive = sim.rollout(seed, 5, material=30.0, fast=False)
+        oracle = sim.rollout(seed, 5, material=30.0, fast=False,
+                             dtype=np.float64)
         assert fast.dtype == np.float64  # positions stay f64
-        np.testing.assert_allclose(fast, naive, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(fast, oracle, rtol=1e-4, atol=1e-5)
 
     def test_wrong_seed_length_raises(self):
         sim = make_sim()

@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histogram bucket edges, series."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry
@@ -30,6 +33,35 @@ class TestCounterGauge:
         assert reg.counter("n", kind="a") is not reg.counter("n", kind="b")
         assert reg.counter("n", a="1", b="2") is reg.counter("n", b="2", a="1")
         assert len(reg) == 4
+
+
+    def test_concurrent_get_or_create_loses_no_update(self):
+        # serve workers share the global registry: threads that create
+        # the same metric at once must all land in the one registered
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                reg = MetricsRegistry()
+                threads, per = 8, 20
+                barrier = threading.Barrier(threads)
+
+                def work():
+                    barrier.wait()
+                    for _ in range(per):
+                        reg.histogram("gns.step_seconds").observe(1e-3)
+                        reg.counter("gns.rollout_steps").inc()
+
+                pool = [threading.Thread(target=work) for _ in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in pool)
+                assert reg.histogram("gns.step_seconds").count == threads * per
+                assert reg.counter("gns.rollout_steps").value == threads * per
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestHistogram:

@@ -1,46 +1,10 @@
-"""Tests for timing, profiling and seeding utilities."""
-
-import time
+"""Tests for profiling and seeding utilities."""
 
 import numpy as np
 import pytest
 
-from repro.utils import Timer, benchmark, profile_block, seed_everything, spawn_rngs
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.count == 2
-        assert t.total >= 0.02
-        assert t.mean >= 0.01
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.total == 0.0 and t.count == 0
-
-    def test_mean_of_empty_is_zero(self):
-        assert Timer().mean == 0.0
-
-
-class TestBenchmark:
-    def test_returns_stats(self):
-        out = benchmark(lambda: sum(range(1000)), repeats=3, warmup=1)
-        assert set(out) == {"best", "mean", "times"}
-        assert len(out["times"]) == 3
-        assert out["best"] <= out["mean"] + 1e-12
-
-    def test_warmup_runs_function(self):
-        calls = []
-        benchmark(lambda: calls.append(1), repeats=2, warmup=2)
-        assert len(calls) == 4
+from repro.obs import profile_block
+from repro.utils import seed_everything, spawn_rngs
 
 
 class TestProfiling:
