@@ -8,25 +8,20 @@ must pass.
 
 from .accel_backend import AccelCpuBackend
 from .numpy_backend import NumpyBackend
-from .optional import make_cupy_backend, make_torch_backend
 from .registry import (
-    CAP_DEVICE, CAP_FLOAT32_KERNELS, CAP_REFERENCE, DEFAULT_BACKEND,
-    ArrayBackend, BackendUnavailableError, UnknownBackendError, active,
-    active_xp, default_backend_name, get_backend, loadable_backends,
-    register_backend, registered_backends, reset_backends,
+    CAP_FLOAT32_KERNELS, CAP_REFERENCE, DEFAULT_BACKEND, ArrayBackend,
+    UnknownBackendError, active, active_xp, default_backend_name,
+    get_backend, register_backend, registered_backends, reset_backends,
     set_active_backend, use_backend,
 )
 
 __all__ = [
-    "ArrayBackend", "NumpyBackend", "AccelCpuBackend",
-    "BackendUnavailableError", "UnknownBackendError",
-    "CAP_REFERENCE", "CAP_FLOAT32_KERNELS", "CAP_DEVICE", "DEFAULT_BACKEND",
+    "ArrayBackend", "NumpyBackend", "AccelCpuBackend", "UnknownBackendError",
+    "CAP_REFERENCE", "CAP_FLOAT32_KERNELS", "DEFAULT_BACKEND",
     "active", "active_xp", "default_backend_name", "get_backend",
-    "loadable_backends", "register_backend", "registered_backends",
+    "register_backend", "registered_backends",
     "reset_backends", "set_active_backend", "use_backend",
 ]
 
 register_backend("numpy", NumpyBackend)
 register_backend("accel", AccelCpuBackend)
-register_backend("cupy", make_cupy_backend)
-register_backend("torch", make_torch_backend)

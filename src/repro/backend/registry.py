@@ -5,8 +5,8 @@ fused MLP kernels, the MPM transfer loops — dispatches through an
 :class:`ArrayBackend` handle instead of calling ``np.*`` directly. A
 backend bundles
 
-* an array namespace (:attr:`ArrayBackend.xp` — NumPy for the CPU
-  backends, ``cupy`` for a GPU backend),
+* an array namespace (:attr:`ArrayBackend.xp` — NumPy for both
+  registered backends),
 * the scatter/segment primitives whose semantics the conformance suite
   pins (``index_add``, ``index_max``, ``segment_sum``),
 * explicit host-boundary transfers (:meth:`ArrayBackend.to_host` /
@@ -26,10 +26,6 @@ compiled CPU kernels when the toolchain allows. ``"numpy"`` is
 the determinism reference: pure NumPy everywhere, and it also implies
 ``REPRO_NO_CKERNELS`` (one knob disables all acceleration).
 
-Optional backends (``cupy``, ``torch``) are registered as lazy
-factories; resolving one on a machine without the library falls back to
-NumPy with a telemetry warning event instead of crashing.
-
 Registering a new backend does not require touching core modules::
 
     class MyBackend(NumpyBackend):
@@ -37,7 +33,7 @@ Registering a new backend does not require touching core modules::
     register_backend("mine", MyBackend)
 
 and the conformance suite (``tests/test_backend_conformance.py``)
-parametrizes over every backend that resolves, which is the contract a
+parametrizes over every registered backend, which is the contract a
 new backend must pass.
 """
 
@@ -50,17 +46,16 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "ArrayBackend", "BackendUnavailableError", "UnknownBackendError",
-    "CAP_REFERENCE", "CAP_FLOAT32_KERNELS", "CAP_DEVICE", "DEFAULT_BACKEND",
+    "ArrayBackend", "UnknownBackendError",
+    "CAP_REFERENCE", "CAP_FLOAT32_KERNELS", "DEFAULT_BACKEND",
     "active", "active_xp", "default_backend_name", "get_backend",
-    "loadable_backends", "register_backend", "registered_backends",
+    "register_backend", "registered_backends",
     "reset_backends", "set_active_backend", "use_backend",
 ]
 
 #: capability flags a backend may advertise
 CAP_REFERENCE = "reference"            # the bitwise-determinism reference
 CAP_FLOAT32_KERNELS = "float32-kernels"  # compiled fp32 kernels attached
-CAP_DEVICE = "device"                  # arrays live off-host (to_host copies)
 
 #: backend used when ``REPRO_BACKEND`` is unset
 DEFAULT_BACKEND = "accel"
@@ -71,11 +66,6 @@ ENV_VAR = "REPRO_BACKEND"
 
 class UnknownBackendError(ValueError):
     """Requested backend name was never registered."""
-
-
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot be constructed on this machine
-    (typically: its optional dependency is not installed)."""
 
 
 class ArrayBackend:
@@ -161,14 +151,12 @@ _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {}
 _INSTANCES: dict[str, ArrayBackend] = {}
 _EXPLICIT: ArrayBackend | None = None
 _ENV_CACHE: tuple[str, ArrayBackend] | None = None
-_WARNED: set[str] = set()
 
 
 def register_backend(name: str, factory: Callable[[], ArrayBackend],
                      replace: bool = False) -> None:
     """Register a backend factory (a zero-arg callable — typically the
-    backend class itself). The factory runs lazily on first resolution,
-    so optional-dependency backends cost nothing until selected."""
+    backend class itself). The factory runs lazily on first resolution."""
     if not replace and name in _FACTORIES:
         raise ValueError(f"backend {name!r} already registered")
     _FACTORIES[name] = factory
@@ -180,52 +168,11 @@ def registered_backends() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def loadable_backends() -> tuple[str, ...]:
-    """Registered backends that resolve on this machine (no fallback) —
-    what the conformance suite parametrizes over."""
-    out = []
-    for name in registered_backends():
-        try:
-            get_backend(name, fallback=False)
-        except BackendUnavailableError:
-            continue
-        out.append(name)
-    return tuple(out)
-
-
-def _fallback_warning(name: str, err: Exception) -> None:
-    """Emit the lazy-import-failure telemetry: a counter plus a session
-    event (when a TelemetrySession is open), once per backend name."""
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    try:
-        from ..obs import current_session, get_registry
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("backend.fallbacks").inc()
-        sess = current_session()
-        if sess is not None:
-            sess.event("backend.fallback", backend=name, error=str(err),
-                       fallback="numpy")
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception:  # telemetry must never break backend resolution
-        pass
-    import warnings
-    warnings.warn(f"array backend {name!r} unavailable ({err}); "
-                  f"falling back to numpy", RuntimeWarning, stacklevel=3)
-
-
-def get_backend(name: str | ArrayBackend | None = None, *,
-                fallback: bool = True) -> ArrayBackend:
+def get_backend(name: str | ArrayBackend | None = None) -> ArrayBackend:
     """Resolve a backend by name (or pass an instance through).
 
-    ``None`` returns the active backend. Unknown names always raise
-    :class:`UnknownBackendError`. A registered backend whose factory
-    raises :class:`BackendUnavailableError` (missing optional
-    dependency) falls back to ``numpy`` with a telemetry warning event
-    when ``fallback`` is true, else re-raises.
+    ``None`` returns the active backend. Unknown names raise
+    :class:`UnknownBackendError`.
     """
     if name is None:
         return active()
@@ -240,13 +187,7 @@ def get_backend(name: str | ArrayBackend | None = None, *,
         raise UnknownBackendError(
             f"unknown array backend {name!r}; registered backends: "
             f"{', '.join(registered_backends())}")
-    try:
-        inst = factory()
-    except BackendUnavailableError as err:
-        if not fallback:
-            raise
-        _fallback_warning(key, err)
-        return get_backend("numpy")
+    inst = factory()
     _INSTANCES[key] = inst
     return inst
 
@@ -302,4 +243,3 @@ def reset_backends() -> None:
     _EXPLICIT = None
     _ENV_CACHE = None
     _INSTANCES.clear()
-    _WARNED.clear()

@@ -14,9 +14,6 @@ Subcommands cover the full paper workflow without writing Python:
   directory as text or self-contained HTML (flame chart, op table,
   metric percentiles), or merge per-worker shards into one labeled
   timeline.
-* ``repro bench record|compare`` — append benchmark results to the
-  perf ledger (``benchmarks/history.jsonl``) and flag regressions vs
-  the trailing window (the CI perf gate).
 * ``repro serve run|bench`` — the simulation-as-a-service front door:
   run a demo workload through a live service, or sweep concurrency
   levels (healthy + forced-degraded) and write ``BENCH_serve.json``
@@ -187,29 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path (report: default report.html next to "
                         "the input, '-' prints the terminal fallback; "
                         "merge: default merged.jsonl in the run dir)")
-
-    p = sub.add_parser("bench", help="perf-regression ledger")
-    p.add_argument("action", choices=["record", "compare"],
-                   help="record = append a benchmark result to the "
-                        "history; compare = flag regressions vs the "
-                        "trailing window (exit 1 on regression)")
-    p.add_argument("--input", type=Path, required=True, metavar="JSON",
-                   help="benchmark result (bench_fastpath.py output)")
-    p.add_argument("--history", type=Path,
-                   default=Path("benchmarks/history.jsonl"),
-                   help="ledger file (default: benchmarks/history.jsonl)")
-    p.add_argument("--label", default="fastpath",
-                   help="ledger entry label (default: fastpath)")
-    p.add_argument("--tolerance", type=float, default=0.1,
-                   help="fractional regression tolerance (default 0.1)")
-    p.add_argument("--metrics", default=None, metavar="NAMES",
-                   help="comma-separated metric names to compare "
-                        "(default: every metric in the entry)")
-    p.add_argument("--window", type=int, default=5,
-                   help="trailing history entries per baseline (default 5)")
-    p.add_argument("--require-history", action="store_true",
-                   help="compare: exit 1 when no baseline entries match "
-                        "(guards against a silently empty ledger)")
 
     p = sub.add_parser("serve", help="simulation-as-a-service front door")
     p.add_argument("action", choices=["run", "bench"],
@@ -699,40 +673,6 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json as _json
-
-    from ..obs.ledger import (compare_entry, entry_from_fastpath,
-                              format_comparison, load_history, record_entry)
-
-    try:
-        result = _json.loads(args.input.read_text())
-    except (OSError, ValueError) as err:
-        print(f"error: cannot read {args.input}: {err}", file=sys.stderr)
-        return 2
-    entry = entry_from_fastpath(result, label=args.label)
-
-    if args.action == "record":
-        path = record_entry(args.history, entry)
-        print(f"recorded {args.label} entry "
-              f"(config {entry['config_hash']}, "
-              f"{len(entry['metrics'])} metric(s)) to {path}")
-        return 0
-
-    history = load_history(args.history)
-    metrics = ([s.strip() for s in args.metrics.split(",") if s.strip()]
-               if args.metrics else None)
-    report = compare_entry(entry, history, metrics=metrics,
-                           tolerance=args.tolerance, window=args.window)
-    print(format_comparison(report, args.tolerance), end="")
-    if args.require_history and report.baseline_runs == 0:
-        print(f"FAIL: no baseline entries in {args.history} match label="
-              f"{args.label} config={entry['config_hash']}",
-              file=sys.stderr)
-        return 1
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args) -> int:
     from ..serve.bench import (
         BenchConfig, run_bench, synthetic_seed, synthetic_simulator,
@@ -850,7 +790,6 @@ _COMMANDS = {
     "invert": _cmd_invert,
     "info": _cmd_info,
     "telemetry": _cmd_telemetry,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "lint": _cmd_lint,
 }

@@ -10,9 +10,6 @@ from .engine import InferenceEngine
 from .noise import random_walk_noise
 from .simulator import LearnedSimulator
 from .checkpointing import checkpointed_rollout_gradient
-from .callbacks import (
-    CheckpointManager, EarlyStopping, ExponentialMovingAverage, MetricLogger,
-)
 from .training import GNSTrainer, TrainingConfig, one_step_mse, rollout_position_error
 
 __all__ = [
@@ -21,6 +18,4 @@ __all__ = [
     "random_walk_noise",
     "InferenceEngine", "LearnedSimulator", "checkpointed_rollout_gradient",
     "GNSTrainer", "TrainingConfig", "one_step_mse", "rollout_position_error",
-    "CheckpointManager", "EarlyStopping", "ExponentialMovingAverage",
-    "MetricLogger",
 ]

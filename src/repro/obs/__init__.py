@@ -20,9 +20,6 @@ The measurement layer the paper's quantitative claims rest on:
 * :mod:`~repro.obs.deep` — op-level tape profiling (span → op cost
   trees via the ``Tensor._make`` hook) and deterministic merging of
   per-worker telemetry shards into one labeled timeline.
-* :mod:`~repro.obs.ledger` — append-only benchmark history
-  (``benchmarks/history.jsonl``) with trailing-window regression
-  detection (``repro bench record/compare``).
 * :mod:`~repro.obs.report` — self-contained HTML flame chart + op
   table + metric percentiles from any telemetry dir
   (``repro telemetry report``), with a terminal fallback.
@@ -41,10 +38,6 @@ from .health import (
 from .deep import (
     TapeProfiler, format_op_tree, merge_worker_telemetry, op_tree,
     profiled_rollout,
-)
-from .ledger import (
-    BenchComparison, compare_entry, entry_from_fastpath, format_comparison,
-    load_history, metric_direction, record_entry,
 )
 from .metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, Series, disable_metrics,
@@ -76,10 +69,6 @@ __all__ = [
     # deep profiling / merge
     "TapeProfiler", "profiled_rollout", "op_tree", "format_op_tree",
     "merge_worker_telemetry",
-    # perf ledger
-    "BenchComparison", "entry_from_fastpath", "record_entry",
-    "load_history", "compare_entry", "format_comparison",
-    "metric_direction",
     # reports
     "render_html", "render_text", "write_report",
     # health

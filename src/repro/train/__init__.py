@@ -13,8 +13,7 @@ One battle-tested loop shared by every learned simulator in the repo
   ``StepDecay``, ``ReduceOnPlateau``, ``WarmupSchedule`` behind one
   :class:`Schedule` interface.
 * :mod:`~repro.train.callbacks` — checkpoint-every-K, validation with
-  EMA/early-stop/best-weights, metric logging (promoted from
-  ``repro.gns.callbacks``).
+  EMA/early-stop/best-weights, metric logging.
 
 See ``docs/training.md`` for the architecture and a resume walkthrough.
 """

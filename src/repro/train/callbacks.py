@@ -1,8 +1,7 @@
 """Unified training callbacks shared by every trainer.
 
-Promoted from ``repro.gns.callbacks`` (which now re-exports these for
-back-compat): EMA weights, early stopping, metric logging, and rolling
-weights-only checkpoints — plus the pieces the shared
+EMA weights, early stopping, metric logging, and rolling weights-only
+checkpoints — plus the pieces the shared
 :class:`~repro.train.Trainer` adds on top:
 
 * :class:`Callback` — the hook protocol (``on_train_begin`` /

@@ -1,6 +1,6 @@
 """Seeding and buffer utilities."""
 
-from .seeding import make_rng, seed_everything, spawn_rngs
+from .seeding import make_rng, spawn_rngs
 from .buffers import Workspace
 
-__all__ = ["make_rng", "seed_everything", "spawn_rngs", "Workspace"]
+__all__ = ["make_rng", "spawn_rngs", "Workspace"]

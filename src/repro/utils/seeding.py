@@ -3,17 +3,14 @@
 All randomness in the library flows through explicit
 :class:`numpy.random.Generator` objects created here — never through
 NumPy's hidden global state. ``repro.lint`` rule DET001 enforces this
-statically; :func:`seed_everything` remains only as a deprecated shim
-for scripts that depended on the old global-seeding behavior.
+statically.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "seed_everything"]
+__all__ = ["make_rng", "spawn_rngs"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,22 +27,3 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in ss.spawn(n)]
 
-
-def seed_everything(seed: int, *, legacy_global: bool = False) -> np.random.Generator:
-    """Deprecated alias for :func:`make_rng`.
-
-    Historically this also seeded NumPy's legacy global state, which
-    couples every ``np.random.*`` call site in the process to one hidden
-    stream and breaks bitwise replay of resumed runs. The global call
-    now happens only on explicit request (``legacy_global=True``) for
-    scripts interoperating with third-party code that still reads the
-    global state.
-    """
-    warnings.warn(
-        "seed_everything() is deprecated; use make_rng(seed) and pass "
-        "Generators explicitly (legacy_global=True restores the old "
-        "global np.random.seed side effect)",
-        DeprecationWarning, stacklevel=2)
-    if legacy_global:
-        np.random.seed(seed)  # lint: ignore[DET001] — explicit escape hatch
-    return make_rng(seed)

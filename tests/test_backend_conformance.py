@@ -1,9 +1,9 @@
 """Backend conformance suite: the contract a new backend must pass.
 
-Parametrized over every backend that resolves on this machine
-(:func:`repro.backend.loadable_backends`) plus a stub backend registered
-by this module — proving a third backend plugs in without touching core
-modules. For each backend the suite pins
+Parametrized over every registered backend
+(:func:`repro.backend.registered_backends`): numpy, accel and a stub
+backend registered by this module — proving a third backend plugs in
+without touching core modules. For each backend the suite pins
 
 * scatter/segment primitive semantics against the NumPy ufunc.at
   reference (duplicate accumulation, NaN propagation, empty segments),
@@ -24,7 +24,7 @@ from repro.autodiff.scatter import (SortedSegments, gather, scatter_add,
                                     segment_sum)
 from repro.backend import (
     CAP_FLOAT32_KERNELS, CAP_REFERENCE, NumpyBackend, get_backend,
-    loadable_backends, register_backend, use_backend,
+    register_backend, registered_backends, use_backend,
 )
 
 from .helpers import check_grad
@@ -42,12 +42,12 @@ class StubBackend(NumpyBackend):
 
 register_backend("stub", StubBackend, replace=True)
 
-BACKENDS = sorted(set(loadable_backends()) | {"stub"})
+BACKENDS = registered_backends()
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    b = get_backend(request.param, fallback=False)
+    b = get_backend(request.param)
     with use_backend(b):
         yield b
 
@@ -197,7 +197,7 @@ class TestStubBackend:
     core modules — the registry is the only integration point."""
 
     def test_resolves(self):
-        b = get_backend("stub", fallback=False)
+        b = get_backend("stub")
         assert isinstance(b, StubBackend)
         assert b.name == "stub"
 

@@ -32,6 +32,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        # benchmarks/suite/run.py is the one performance harness
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "compare"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_simulate_defaults(self):
         args = build_parser().parse_args(
             ["simulate", "column", "--output", "x.npz"])

@@ -6,11 +6,13 @@ import pytest
 
 from repro.data import Trajectory
 from repro.gns import (
-    CheckpointManager, EarlyStopping, ExponentialMovingAverage, FeatureConfig,
-    GNSNetworkConfig, GNSTrainer, LearnedSimulator, MetricLogger,
+    FeatureConfig, GNSNetworkConfig, GNSTrainer, LearnedSimulator,
     TrainingConfig,
 )
 from repro.nn import Linear, default_rng
+from repro.train import (
+    CheckpointManager, EarlyStopping, ExponentialMovingAverage, MetricLogger,
+)
 
 BOUNDS = np.array([[0.0, 1.0], [0.0, 1.0]])
 

@@ -1,10 +1,9 @@
 """Tests for profiling and seeding utilities."""
 
 import numpy as np
-import pytest
 
 from repro.obs import profile_block
-from repro.utils import seed_everything, spawn_rngs
+from repro.utils import spawn_rngs
 
 
 class TestProfiling:
@@ -32,19 +31,3 @@ class TestSeeding:
         b = np.random.default_rng(7).normal(size=5)
         np.testing.assert_array_equal(a, b)
 
-    def test_seed_everything_deprecated_no_global_side_effect(self):
-        np.random.seed(123)  # lint: ignore[DET001] — asserting it is untouched
-        before = np.random.get_state()[1].copy()  # lint: ignore[DET001]
-        with pytest.warns(DeprecationWarning):
-            rng = seed_everything(7)
-        after = np.random.get_state()[1]  # lint: ignore[DET001]
-        np.testing.assert_array_equal(before, after)
-        assert isinstance(rng, np.random.Generator)
-
-    def test_seed_everything_legacy_global_optin(self):
-        with pytest.warns(DeprecationWarning):
-            seed_everything(7, legacy_global=True)
-        x = np.random.rand(3)  # lint: ignore[DET001] — legacy escape hatch
-        with pytest.warns(DeprecationWarning):
-            seed_everything(7, legacy_global=True)
-        np.testing.assert_array_equal(np.random.rand(3), x)  # lint: ignore[DET001]
