@@ -200,9 +200,11 @@ def mlp_forward_numpy(x: np.ndarray, weights, biases, gamma=None, beta=None,
     engine); ``saved`` (mutually exclusive with ``getbuf``) records
     intermediates for a fused backward pass.
     """
+    # promoted as `x @ w` would: a float32 input with float64
+    # parameters runs in float64
     h = np.matmul(x, weights[0],
                   out=_buf(getbuf, f"{tag}.0", (x.shape[0], weights[0].shape[1]),
-                           x.dtype))
+                           np.result_type(x, weights[0])))
     if len(weights) > 1:
         kern = _accel_for(h, saved, backend)
         if kern is not None:

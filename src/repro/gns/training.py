@@ -89,11 +89,6 @@ class GNSTrainer(Trainer):
                                    seed=cfg.seed,
                                    log_every=cfg.log_every))
 
-    @property
-    def step_count(self) -> int:
-        """Deprecated alias for :attr:`global_step`."""
-        return self.global_step
-
     # -- task protocol --------------------------------------------------
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Window indices of one micro-batch."""

@@ -85,11 +85,6 @@ class MeshNetTrainer(Trainer):
                                    seed=cfg.seed,
                                    log_every=cfg.log_every))
 
-    @property
-    def step_count(self) -> int:
-        """Alias matching :class:`~repro.gns.GNSTrainer`."""
-        return self.global_step
-
     # -- task protocol --------------------------------------------------
     def sample(self, rng: np.random.Generator) -> list[tuple[int, np.ndarray]]:
         """One micro-batch of (frame index, input noise) draws."""

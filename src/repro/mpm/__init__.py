@@ -1,8 +1,10 @@
-"""Explicit 2-D Material Point Method — the paper's numerical substrate.
+"""Explicit Material Point Method — the paper's numerical substrate.
 
 Replaces the CB-Geo MPM C++ code: generates GNS training data, serves as
 the speedup baseline (E2), and closes the loop in the hybrid GNS/MPM
-solver (E4).
+solver (E4). Grid, particles, boundary, shape functions and solver work
+in two or three dimensions; the materials here are 2-D (plane strain),
+the 3-D ones live in :mod:`repro.mpm3d`.
 """
 
 from .grid import BoxBoundary, Grid

@@ -1,4 +1,5 @@
-"""Background Eulerian grid for MPM with box boundary conditions."""
+"""Background Eulerian grid for MPM with box boundary conditions, in two
+or three dimensions (the length of the domain size)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ __all__ = ["Grid", "BoxBoundary"]
 
 @dataclass
 class BoxBoundary:
-    """Rigid box walls aligned with the domain edges.
+    """Rigid box walls aligned with the domain edges (faces in 3-D).
 
     ``friction`` is the Coulomb wall-friction coefficient; ``mode`` is
     ``"frictional"`` (no-penetration + Coulomb tangential decay),
@@ -31,23 +32,18 @@ class BoxBoundary:
         at the wall surface always interpolate from constrained nodes.
         """
         v = velocities.copy()
-        nx, ny = grid.node_dims
-        ix = grid.node_ix
-        iy = grid.node_iy
         t = self.thickness
+        # each wall: (mask, normal axis, outward sign), low then high
+        # face per axis
+        walls = []
+        for axis, n in enumerate(grid.node_dims):
+            i = grid.node_index[:, axis]
+            walls += [(i <= t, axis, -1.0), (i >= n - 1 - t, axis, 1.0)]
 
         if self.mode == "sticky":
-            wall = (ix <= t) | (ix >= nx - 1 - t) | (iy <= t) | (iy >= ny - 1 - t)
-            v[wall] = 0.0
+            v[np.logical_or.reduce([mask for mask, _, _ in walls])] = 0.0
             return v
 
-        # each wall: (mask, normal axis, outward sign)
-        walls = [
-            (ix <= t, 0, -1.0),
-            (ix >= nx - 1 - t, 0, 1.0),
-            (iy <= t, 1, -1.0),
-            (iy >= ny - 1 - t, 1, 1.0),
-        ]
         for mask, axis, sign in walls:
             vn = v[mask, axis] * sign
             moving_out = vn > 0.0
@@ -57,48 +53,69 @@ class BoxBoundary:
             removed = vn[moving_out]
             v[idx, axis] = 0.0
             if self.mode == "frictional" and self.friction > 0.0:
-                tangent = 1 - axis
-                vt = v[idx, tangent]
-                decay = np.maximum(np.abs(vt) - self.friction * removed, 0.0)
-                v[idx, tangent] = np.sign(vt) * decay
+                self._coulomb(v, idx, axis, removed)
         return v
+
+    def _coulomb(self, v: np.ndarray, idx: np.ndarray, axis: int,
+                 removed: np.ndarray) -> None:
+        """Decay the tangential velocity of nodes ``idx`` by μ times the
+        removed normal speed. 2-D shrinks the one signed tangential
+        component, 3-D the norm of the two; each keeps its own rounding."""
+        if v.shape[1] == 2:
+            tangent = 1 - axis
+            vt = v[idx, tangent]
+            decay = np.maximum(np.abs(vt) - self.friction * removed, 0.0)
+            v[idx, tangent] = np.sign(vt) * decay
+            return
+        tang = np.ix_(idx, [a for a in range(3) if a != axis])
+        vt = v[tang]
+        mag = np.linalg.norm(vt, axis=1)
+        keep = np.maximum(mag - self.friction * removed, 0.0)
+        scale = np.where(mag > 1e-15, keep / np.maximum(mag, 1e-15), 0.0)
+        v[tang] = vt * scale[:, None]
 
 
 class Grid:
-    """Structured background grid over ``[0, size_x] × [0, size_y]``.
+    """Structured background grid over ``[0, size_0] × … × [0, size_d−1]``,
+    d = 2 or 3.
 
-    Node arrays are flat ``(nx * ny, ...)`` with row-major (x-major)
-    ordering: node ``(i, j)`` has flat index ``i * ny + j``.
+    Node arrays are flat ``(num_nodes, ...)`` in row-major order (last
+    axis fastest): node ``(i, j)`` has flat index ``i * ny + j``, node
+    ``(i, j, l)`` has ``(i * ny + j) * nz + l``.
     """
 
-    def __init__(self, size: tuple[float, float], spacing: float,
+    def __init__(self, size: tuple[float, ...], spacing: float,
                  boundary: BoxBoundary | None = None):
-        self.size = (float(size[0]), float(size[1]))
+        self.size = tuple(float(s) for s in size)
+        if len(self.size) not in (2, 3):
+            raise ValueError(f"grid must be 2-D or 3-D, got size {size}")
         self.spacing = float(spacing)
-        ncx = int(round(self.size[0] / spacing))
-        ncy = int(round(self.size[1] / spacing))
-        if not np.isclose(ncx * spacing, self.size[0]) or not np.isclose(ncy * spacing, self.size[1]):
+        cells = [int(round(s / spacing)) for s in self.size]
+        if not all(np.isclose(c * spacing, s) for c, s in zip(cells, self.size)):
             raise ValueError("domain size must be an integer multiple of spacing")
-        self.node_dims = (ncx + 1, ncy + 1)
-        self.num_nodes = self.node_dims[0] * self.node_dims[1]
+        self.node_dims = tuple(c + 1 for c in cells)
+        self.num_nodes = int(np.prod(self.node_dims))
         self.boundary = boundary or BoxBoundary()
 
-        idx = np.arange(self.num_nodes)
-        self.node_ix = idx // self.node_dims[1]
-        self.node_iy = idx % self.node_dims[1]
-        self.node_positions = np.stack(
-            [self.node_ix * spacing, self.node_iy * spacing], axis=1)
+        #: ``(num_nodes, d)`` integer node coordinates
+        self.node_index = np.stack(
+            np.unravel_index(np.arange(self.num_nodes), self.node_dims), axis=1)
+        self.node_positions = self.node_index * spacing
 
         self.mass = np.zeros(self.num_nodes, dtype=np.float64)
-        self.momentum = np.zeros((self.num_nodes, 2), dtype=np.float64)
-        self.force = np.zeros((self.num_nodes, 2), dtype=np.float64)
+        self.momentum = np.zeros((self.num_nodes, self.dim), dtype=np.float64)
+        self.force = np.zeros((self.num_nodes, self.dim), dtype=np.float64)
         #: optional static in-domain obstacle: velocities at these nodes
         #: are zeroed every step (rigid, sticky inclusion)
         self.obstacle_mask: np.ndarray | None = None
 
+    @property
+    def dim(self) -> int:
+        return len(self.node_dims)
+
     def add_circular_obstacle(self, center: tuple[float, float],
                               radius: float) -> np.ndarray:
-        """Mark grid nodes inside a circle as a rigid obstacle.
+        """Mark grid nodes inside a circle as a rigid obstacle (2-D).
 
         Returns the boolean node mask (also OR-ed into
         :attr:`obstacle_mask`). Particles should be seeded outside the

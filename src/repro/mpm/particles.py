@@ -11,79 +11,99 @@ __all__ = ["Particles"]
 
 @dataclass
 class Particles:
-    """Struct-of-arrays particle state for 2-D plane-strain MPM.
+    """Struct-of-arrays particle state in d = 2 or 3 dimensions (the
+    width of ``positions``).
 
-    Stress is stored in Voigt-like tensor form ``(n, 2, 2)`` for the
-    in-plane components plus a separate out-of-plane normal stress
-    ``sigma_zz`` (needed by the Drucker–Prager invariants under plane
-    strain).
+    Stress is stored in tensor form ``(n, d, d)``. In 2-D (plane strain)
+    a separate out-of-plane normal stress ``sigma_zz`` (needed by the
+    Drucker–Prager invariants) rides along and defaults to zero; in 3-D
+    the stress tensor holds σ_zz itself and ``sigma_zz`` is ``None``.
     """
 
-    positions: np.ndarray                 # (n, 2)
-    velocities: np.ndarray                # (n, 2)
+    positions: np.ndarray                 # (n, d)
+    velocities: np.ndarray                # (n, d)
     masses: np.ndarray                    # (n,)
     volumes: np.ndarray                   # (n,)
-    stresses: np.ndarray                  # (n, 2, 2)
-    sigma_zz: np.ndarray                  # (n,)
+    stresses: np.ndarray                  # (n, d, d)
+    sigma_zz: np.ndarray | None = None    # (n,) in 2-D, None in 3-D
     material_ids: np.ndarray = field(default=None)  # (n,) int
     initial_volumes: np.ndarray = field(default=None)  # (n,) reference V0
 
     def __post_init__(self):
-        n = self.positions.shape[0]
+        if self.positions.ndim != 2 or self.positions.shape[1] not in (2, 3):
+            raise ValueError(f"positions must be (n, 2) or (n, 3), got "
+                             f"{self.positions.shape}")
+        n, d = self.positions.shape
         if self.material_ids is None:
             self.material_ids = np.zeros(n, dtype=np.int64)
         if self.initial_volumes is None:
             self.initial_volumes = self.volumes.copy()
-        for name in ("positions", "velocities"):
-            arr = getattr(self, name)
-            if arr.shape != (n, 2):
-                raise ValueError(f"{name} must be (n, 2), got {arr.shape}")
+        if self.sigma_zz is None and d == 2:
+            self.sigma_zz = np.zeros(n, dtype=np.float64)
+        if self.sigma_zz is not None and d == 3:
+            raise ValueError("sigma_zz is the plane-strain out-of-plane "
+                             "stress; 3-D stresses hold σ_zz")
+        if self.velocities.shape != (n, d):
+            raise ValueError(f"velocities must be {(n, d)}, got "
+                             f"{self.velocities.shape}")
         for name in ("masses", "volumes", "sigma_zz", "material_ids",
                      "initial_volumes"):
             arr = getattr(self, name)
-            if arr.shape != (n,):
+            if arr is not None and arr.shape != (n,):
                 raise ValueError(f"{name} must be (n,), got {arr.shape}")
-        if self.stresses.shape != (n, 2, 2):
-            raise ValueError(f"stresses must be (n, 2, 2), got {self.stresses.shape}")
+        if self.stresses.shape != (n, d, d):
+            raise ValueError(f"stresses must be {(n, d, d)}, got "
+                             f"{self.stresses.shape}")
 
     @property
     def count(self) -> int:
         return self.positions.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.positions.shape[1]
+
     @classmethod
-    def from_block(cls, lower: tuple[float, float], upper: tuple[float, float],
+    def from_block(cls, lower: tuple[float, ...], upper: tuple[float, ...],
                    spacing: float, density: float,
-                   velocity: tuple[float, float] = (0.0, 0.0),
+                   velocity: tuple[float, ...] | None = None,
                    jitter: float = 0.0,
                    rng: np.random.Generator | None = None) -> "Particles":
-        """Fill an axis-aligned rectangle with a regular particle lattice.
+        """Fill an axis-aligned rectangle (box in 3-D) with a regular
+        particle lattice.
 
         Parameters
         ----------
         spacing:
-            Particle spacing; each particle carries ``spacing**2`` area.
+            Particle spacing; each particle carries ``spacing**d`` area
+            (volume in 3-D).
         density:
-            Mass density (per unit thickness).
+            Mass density (per unit thickness in 2-D).
+        velocity:
+            Initial velocity of every particle (default at rest).
         jitter:
             Optional uniform perturbation as a fraction of spacing (breaks
             lattice artifacts in granular flows).
         """
-        xs = np.arange(lower[0] + spacing / 2, upper[0], spacing)
-        ys = np.arange(lower[1] + spacing / 2, upper[1], spacing)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pos = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        axes = [np.arange(lo + spacing / 2, hi, spacing)
+                for lo, hi in zip(lower, upper)]
+        pos = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                       axis=1)
         if jitter > 0.0:
             rng = rng or np.random.default_rng(0)
             pos = pos + rng.uniform(-jitter, jitter, size=pos.shape) * spacing
-        n = pos.shape[0]
-        vol = np.full(n, spacing * spacing, dtype=np.float64)
+        n, d = pos.shape
+        # each dimension keeps the rounding it always had: s·s and s³
+        cell = spacing * spacing if d == 2 else spacing ** 3
+        vol = np.full(n, cell, dtype=np.float64)
+        if velocity is None:
+            velocity = (0.0,) * d
         return cls(
             positions=pos,
             velocities=np.tile(np.asarray(velocity, dtype=np.float64), (n, 1)),
             masses=vol * density,
             volumes=vol.copy(),
-            stresses=np.zeros((n, 2, 2), dtype=np.float64),
-            sigma_zz=np.zeros(n, dtype=np.float64),
+            stresses=np.zeros((n, d, d), dtype=np.float64),
         )
 
     def copy(self) -> "Particles":
@@ -93,7 +113,7 @@ class Particles:
             masses=self.masses.copy(),
             volumes=self.volumes.copy(),
             stresses=self.stresses.copy(),
-            sigma_zz=self.sigma_zz.copy(),
+            sigma_zz=None if self.sigma_zz is None else self.sigma_zz.copy(),
             material_ids=self.material_ids.copy(),
             initial_volumes=self.initial_volumes.copy(),
         )

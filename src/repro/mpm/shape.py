@@ -1,12 +1,14 @@
 """B-spline shape functions for the MPM particle–grid transfer.
 
-Both the linear hat (4 nodes per particle in 2-D) and the quadratic
-B-spline (9 nodes, the default — it avoids cell-crossing noise) are
-implemented fully vectorized: for ``n`` particles the kernel returns the
-node ids, weights, and weight gradients of all ``k × n`` particle–node
-pairs at once, offset-major (one contiguous length-``n`` row per
-shape-function offset), which is the layout the solver's per-channel
-``bincount`` scatters and per-offset gathers run on.
+Both the linear hat (2 support nodes per axis: 4 nodes per particle in
+2-D, 8 in 3-D) and the quadratic B-spline (3 per axis: 9 or 27 nodes,
+the default — it avoids cell-crossing noise) are implemented fully
+vectorized and for either dimension, read from the positions' shape:
+for ``n`` particles the kernel returns the node ids, weights, and weight
+gradients of all ``k × n`` particle–node pairs at once, offset-major
+(one contiguous length-``n`` row per shape-function offset), which is
+the layout the solver's per-channel ``bincount`` scatters and per-offset
+gathers run on.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class ShapeKernel:
         ``(k, n)`` interpolation weights; columns sum to 1 (partition of
         unity).
     grads:
-        ``(2, k, n)`` spatial gradients ∂N/∂x (``grads[0]``) and ∂N/∂y
-        (``grads[1]``) of each weight.
+        ``(d, k, n)`` spatial gradients ∂N/∂x_a (``grads[a]``) of each
+        weight.
     """
 
     nodes: np.ndarray
@@ -54,16 +56,18 @@ class ShapeKernel:
 
 
 class ShapeFunction:
-    """Interface: evaluate influence sets on a structured grid."""
+    """Interface: evaluate influence sets on a structured grid of
+    ``len(grid_dims)`` = d dimensions."""
 
-    nodes_per_particle: int
+    #: support nodes per axis; a particle reaches ``support ** d`` nodes
+    support: int
 
     def __call__(self, positions: np.ndarray, h: float,
-                 grid_dims: tuple[int, int]) -> ShapeKernel:  # pragma: no cover
+                 grid_dims: tuple[int, ...]) -> ShapeKernel:  # pragma: no cover
         raise NotImplementedError
 
 
-def _support_base(lowest: np.ndarray, m: int, grid_dims: tuple[int, int],
+def _support_base(lowest: np.ndarray, m: int, grid_dims: tuple[int, ...],
                   positions: np.ndarray) -> np.ndarray:
     """``lowest`` — each particle's floored first support node per axis —
     as int64, once all ``m`` support nodes per axis are known to be grid
@@ -76,41 +80,41 @@ def _support_base(lowest: np.ndarray, m: int, grid_dims: tuple[int, int],
 
 
 def _tensor_product(base: np.ndarray, w1d: np.ndarray, dw1d: np.ndarray,
-                    ny: int) -> ShapeKernel:
-    """Combine per-axis 1-D weights ``(m, n, 2)`` at the ``m`` nodes from
-    ``base`` on into the ``m²`` 2-D offsets, offset ``i * m + j`` being
-    node ``(base_x + i, base_y + j)``."""
-    m, n = w1d.shape[:2]
-    steps = np.arange(m, dtype=np.int64)[:, None]
-    ix = base[:, 0] + steps                                  # (m, n)
-    iy = base[:, 1] + steps
-    wx, wy = w1d[:, None, :, 0], w1d[None, :, :, 1]          # (m, 1, n), (1, m, n)
-    dwx, dwy = dw1d[:, None, :, 0], dw1d[None, :, :, 1]
-    k = m * m
-    nodes = (ix[:, None] * ny + iy[None, :]).reshape(k, n)
-    weights = (wx * wy).reshape(k, n)
-    grads = np.empty((2, k, n), dtype=np.float64)
-    np.multiply(dwx, wy, out=grads[0].reshape(m, m, n))
-    np.multiply(wx, dwy, out=grads[1].reshape(m, m, n))
-    return ShapeKernel(nodes, weights, grads)
+                    grid_dims: tuple[int, ...]) -> ShapeKernel:
+    """Combine per-axis 1-D weights ``(m, n, d)`` at the ``m`` nodes from
+    ``base`` on into the ``m^d`` offsets, offset ``(i0·m + i1)·m + i2``
+    being node ``(base_0 + i0, base_1 + i1, base_2 + i2)`` (in 2-D,
+    ``i0·m + i1``): the last axis runs fastest, as in the grid's
+    row-major node numbering. Products run over the axes in order,
+    ``(N_0·N_1)·N_2``, with ∂N/∂x_a in place of ``N_a`` for ``grads[a]``."""
+    m, n, d = w1d.shape
+    idx = base.T[:, None, :] + np.arange(m, dtype=np.int64)[:, None]  # (d, m, n)
+    nodes, weights = idx[0], w1d[:, :, 0]
+    grads = [dw1d[:, :, 0]] + [weights] * (d - 1)
+    for a in range(1, d):
+        nodes = (nodes[:, None] * grid_dims[a] + idx[a]).reshape(-1, n)
+        weights = (weights[:, None] * w1d[:, :, a]).reshape(-1, n)
+        grads = [(g[:, None] * (dw1d if b == a else w1d)[:, :, a]).reshape(-1, n)
+                 for b, g in enumerate(grads)]
+    return ShapeKernel(nodes, weights, np.stack(grads))
 
 
 class LinearShape(ShapeFunction):
-    """Bilinear hat functions: support h, 4 nodes per particle (2-D)."""
+    """Multilinear hat functions: support h, 2 nodes per axis."""
 
-    nodes_per_particle = 4
+    support = 2
 
     def __call__(self, positions: np.ndarray, h: float,
-                 grid_dims: tuple[int, int]) -> ShapeKernel:
+                 grid_dims: tuple[int, ...]) -> ShapeKernel:
         pos = np.asarray(positions, dtype=np.float64)
         xi = pos / h
-        base = _support_base(np.floor(xi), 2, grid_dims, pos)   # (n, 2)
+        base = _support_base(np.floor(xi), 2, grid_dims, pos)   # (n, d)
         frac = xi - base                               # local coordinate in [0,1)
 
         # 1-D weights/gradients for offsets {0, 1} in each dimension
-        w = np.stack([1.0 - frac, frac], axis=0)       # (2, n, 2)
+        w = np.stack([1.0 - frac, frac], axis=0)       # (2, n, d)
         dw = np.stack([-np.ones_like(frac), np.ones_like(frac)], axis=0) / h
-        return _tensor_product(base, w, dw, grid_dims[1])
+        return _tensor_product(base, w, dw, grid_dims)
 
 
 def _bspline_quadratic(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,26 +129,25 @@ def _bspline_quadratic(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class QuadraticShape(ShapeFunction):
-    """Quadratic B-splines: support 1.5h, 9 nodes per particle (2-D)."""
+    """Quadratic B-splines: support 1.5h, 3 nodes per axis."""
 
-    nodes_per_particle = 9
+    support = 3
 
     def __call__(self, positions: np.ndarray, h: float,
-                 grid_dims: tuple[int, int]) -> ShapeKernel:
+                 grid_dims: tuple[int, ...]) -> ShapeKernel:
         pos = np.asarray(positions, dtype=np.float64)
-        n = pos.shape[0]
         xi = pos / h
         # leftmost of 3 nodes
         base = _support_base(np.floor(xi - 0.5), 3, grid_dims, pos)
 
         # signed distance from particle to each of the 3 nodes per dim
-        w1d = np.empty((3, n, 2), dtype=np.float64)
-        dw1d = np.empty((3, n, 2), dtype=np.float64)
+        w1d = np.empty((3,) + pos.shape, dtype=np.float64)
+        dw1d = np.empty((3,) + pos.shape, dtype=np.float64)
         for o in range(3):
             d = xi - (base + o)
             w1d[o], dw1d[o] = _bspline_quadratic(d)
         dw1d /= h
-        return _tensor_product(base, w1d, dw1d, grid_dims[1])
+        return _tensor_product(base, w1d, dw1d, grid_dims)
 
 
 def make_shape(kind: str) -> ShapeFunction:

@@ -1,4 +1,5 @@
-"""Explicit Update-Stress-Last MPM solver (2-D plane strain).
+"""Explicit Update-Stress-Last MPM solver in two (plane strain) or three
+dimensions, d read from the grid.
 
 The step is the standard hybrid Eulerian–Lagrangian cycle the paper's
 CB-Geo MPM substrate implements:
@@ -14,18 +15,21 @@ CB-Geo MPM substrate implements:
 Everything is vectorized over particles. The transfers work on
 offset-major arrays (one length-``n`` row per shape-function offset) and
 reproduce, bit for bit, the accumulation order of ``np.add.at`` scatters
-and ``einsum`` gathers over particle-major ``(n, k, 2)`` arrays; see
+and ``einsum`` gathers over particle-major ``(n, k, d)`` arrays; see
 "Transfer layout" in ``docs/mpm.md``. The only Python-level loops are
-over the 4/9 offsets and the two axes.
+over the 4/9 (2-D) or 8/27 (3-D) offsets and the axes.
 
 On the ``accel`` backend (the default), when the C toolchain can build
-the kernels, the shape evaluation, P2G, grid update and G2P each run as
+the kernels, a 2-D step runs compiled: the shape evaluation, P2G, grid
+update and G2P each run as
 one float64 C call (:mod:`repro.accel.cpu`) that repeats the NumPy
 step's arithmetic in its order, and so does the constitutive
 update of each :class:`LinearElastic` or :class:`DruckerPrager`
 material (exact type; other materials and subclasses run their own
 ``update_stress``). Trajectories are bitwise-equal either way;
-``backend="numpy"`` runs the NumPy step, the oracle.
+``backend="numpy"`` runs the NumPy step, the oracle. A 3-D step always
+runs the NumPy step; its materials (:mod:`repro.mpm3d`) update full
+3×3 stresses.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .shape import (
 
 __all__ = ["MPMConfig", "MPMSolver"]
 
+# the particle arrays a snapshot keeps (``sigma_zz`` is None in 3-D)
+_STATE = ("positions", "velocities", "volumes", "stresses", "sigma_zz")
+
 
 def _offset_sum(terms):
     """``Σ_j terms[j]`` added onto +0.0 in offset order ``j = 0, 1, ...``,
@@ -65,14 +72,15 @@ class MPMConfig:
 
     Attributes
     ----------
-    gravity: body acceleration vector.
+    gravity: body acceleration vector, one entry per grid dimension (the
+        default is 2-D; a 3-D solver needs a 3-vector).
     flip: FLIP fraction of the velocity update (0 = pure PIC, damps;
         1 = pure FLIP, noisy). 0.95–0.99 is standard for granular flow.
     cfl: Courant factor for the automatic time step.
     shape: ``"quadratic"`` (default) or ``"linear"`` basis.
     """
 
-    gravity: tuple[float, float] = (0.0, -9.81)
+    gravity: tuple[float, ...] = (0.0, -9.81)
     flip: float = 0.98
     cfl: float = 0.4
     shape: str = "quadratic"
@@ -80,7 +88,8 @@ class MPMConfig:
 
 
 class MPMSolver:
-    """Explicit USL MPM stepping a :class:`Particles` system on a :class:`Grid`."""
+    """Explicit USL MPM stepping a :class:`Particles` system on a
+    :class:`Grid` of the same dimension."""
 
     def __init__(self, grid: Grid, particles: Particles,
                  materials: dict[int, Material] | object,
@@ -91,12 +100,18 @@ class MPMSolver:
             materials = {0: materials}
         self.materials = materials
         self.config = config or MPMConfig()
-        # resolved once: the compiled step's kernels, or None for the
-        # NumPy step, for the solver's lifetime
-        self.backend = get_backend(backend)
-        self._kernels = self.backend.float32_kernels()
-        self.shape: ShapeFunction = make_shape(self.config.shape)
         self._gravity = np.asarray(self.config.gravity, dtype=np.float64)
+        if particles.dim != grid.dim or self._gravity.shape != (grid.dim,):
+            raise ValueError(
+                f"{particles.dim}-D particles and gravity "
+                f"{tuple(self._gravity.tolist())} on a {grid.dim}-D grid: "
+                f"all three need the same dimension")
+        # resolved once: the compiled step's kernels, or None for the
+        # NumPy step, for the solver's lifetime; the kernels are 2-D
+        self.backend = get_backend(backend)
+        self._kernels = (self.backend.float32_kernels() if grid.dim == 2
+                         else None)
+        self.shape: ShapeFunction = make_shape(self.config.shape)
         # per-pair scratch kept across steps: allocated fresh each step,
         # these half-megabyte arrays cost more in page faults than the
         # arithmetic that fills them
@@ -122,11 +137,8 @@ class MPMSolver:
         (:class:`repro.resilience.GuardedMPMStepper`, hybrid recovery)."""
         p = self.particles
         return {
-            "positions": p.positions.copy(),
-            "velocities": p.velocities.copy(),
-            "volumes": p.volumes.copy(),
-            "stresses": p.stresses.copy(),
-            "sigma_zz": p.sigma_zz.copy(),
+            **{name: getattr(p, name).copy() for name in _STATE
+               if getattr(p, name) is not None},
             "time": self.time,
             "step_count": self.step_count,
         }
@@ -134,11 +146,9 @@ class MPMSolver:
     def restore(self, snap: dict) -> None:
         """Rewind to a :meth:`snapshot` (arrays are copied back in)."""
         p = self.particles
-        p.positions = snap["positions"].copy()
-        p.velocities = snap["velocities"].copy()
-        p.volumes = snap["volumes"].copy()
-        p.stresses = snap["stresses"].copy()
-        p.sigma_zz = snap["sigma_zz"].copy()
+        for name in _STATE:
+            if name in snap:
+                setattr(p, name, snap[name].copy())
         self.time = float(snap["time"])
         self.step_count = int(snap["step_count"])
 
@@ -185,24 +195,29 @@ class MPMSolver:
         kernel = self.shape(p.positions, g.spacing, g.node_dims)
         nodes, w, dw = kernel.nodes, kernel.weights, kernel.grads
         k, n = nodes.shape
+        d = g.dim
 
         # --- P2G -------------------------------------------------------
         with span("mpm/p2g"):
             # per-pair contributions, one (k, n) row block per channel:
-            # mass, momentum x/y, then internal and gravity force per axis
-            pairs = self._work.get("p2g.pairs", (7, k, n), np.float64)
+            # mass, momentum per axis, then internal and gravity force
+            # per axis (1 + 3d channels)
+            pairs = self._work.get("p2g.pairs", (1 + 3 * d, k, n),
+                                   np.float64)
             mw = pairs[0]
             np.multiply(w, p.masses, out=mw)
             vs = p.volumes[:, None, None] * p.stresses       # V_p σ_p
-            for a in range(2):
+            for a in range(d):
                 np.multiply(mw, p.velocities[:, a], out=pairs[1 + a])
                 # internal force −V_p σ_p ∇N (σ symmetric), V_p σ_p
-                # formed first as einsum did: −(Vσ_a0 ∂xN + Vσ_a1 ∂yN)
-                f_int = pairs[3 + 2 * a]
+                # formed first and summed over b in order as einsum did:
+                # −((Vσ_a0 ∂xN + Vσ_a1 ∂yN) + Vσ_a2 ∂zN)
+                f_int = pairs[1 + d + 2 * a]
                 np.multiply(vs[:, a, 0], dw[0], out=f_int)
-                f_int += vs[:, a, 1] * dw[1]
+                for b in range(1, d):
+                    f_int += vs[:, a, b] * dw[b]
                 np.negative(f_int, out=f_int)
-                np.multiply(mw, self._gravity[a], out=pairs[4 + 2 * a])
+                np.multiply(mw, self._gravity[a], out=pairs[2 + d + 2 * a])
             # Particle-major pair order is the order np.add.at summed in,
             # and bincount adds its weights in input order: every node
             # total is rounded exactly as before. Each axis's internal and
@@ -212,15 +227,17 @@ class MPMSolver:
             idx[0] = nodes.T
             idx[1] = idx[0]
             flat, flat2 = idx[0].ravel(), idx.ravel()
-            pm = self._work.get("p2g.particle_major", (7, n, k), np.float64)
+            pm = self._work.get("p2g.particle_major", (1 + 3 * d, n, k),
+                                np.float64)
             np.copyto(pm, pairs.transpose(0, 2, 1))
             nn = g.num_nodes
             g.mass[:] = np.bincount(flat, pm[0].ravel(), minlength=nn)
-            for a in range(2):
+            for a in range(d):
                 g.momentum[:, a] = np.bincount(flat, pm[1 + a].ravel(),
                                                minlength=nn)
                 g.force[:, a] = np.bincount(
-                    flat2, pm[3 + 2 * a:5 + 2 * a].ravel(), minlength=nn)
+                    flat2, pm[1 + d + 2 * a:3 + d + 2 * a].ravel(),
+                    minlength=nn)
 
         # --- grid update -------------------------------------------------
         with span("mpm/grid"):
@@ -237,36 +254,41 @@ class MPMSolver:
 
         # --- G2P ---------------------------------------------------------
         with span("mpm/g2p"):
-            # per-pair terms, 8 rows per offset: w·v (PIC), w·Δv (FLIP
-            # increment), then v_a ∂N/∂x_b for the velocity gradient L_ab.
-            # Δv taken per node and then gathered is the same per-pair
-            # difference as gathering both velocities first.
+            # per-pair terms, 2d + d² rows per offset: w·v (PIC), w·Δv
+            # (FLIP increment), then v_a ∂N/∂x_b for the velocity
+            # gradient L_ab. Δv taken per node and then gathered is the
+            # same per-pair difference as gathering both velocities first.
             dv_grid = v_new - v_old
-            terms = self._work.get("g2p.terms", (k, 8, n), np.float64)
-            for a in range(2):
+            terms = self._work.get("g2p.terms", (k, 2 * d + d * d, n),
+                                   np.float64)
+            for a in range(d):
                 v_k = v_new[:, a][nodes]                      # (k, n)
                 np.multiply(w, v_k, out=terms[:, a])
-                np.multiply(w, dv_grid[:, a][nodes], out=terms[:, 2 + a])
-                for b in range(2):
-                    np.multiply(v_k, dw[b], out=terms[:, 4 + 2 * a + b])
-            sums = _offset_sum(terms)                         # (8, n)
-            v_pic = sums[0:2].T.copy()
-            dv = sums[2:4].T
+                np.multiply(w, dv_grid[:, a][nodes], out=terms[:, d + a])
+                for b in range(d):
+                    np.multiply(v_k, dw[b], out=terms[:, 2 * d + d * a + b])
+            sums = _offset_sum(terms)                         # (2d + d², n)
+            v_pic = sums[0:d].T.copy()
+            dv = sums[d:2 * d].T
             flip = self.config.flip
             p.velocities = (1.0 - flip) * v_pic + flip * (p.velocities + dv)
             p.positions = p.positions + dt * v_pic
 
             # keep particles inside the constrained band
             margin = g.interior_margin()
-            np.clip(p.positions[:, 0], margin, g.size[0] - margin, out=p.positions[:, 0])
-            np.clip(p.positions[:, 1], margin, g.size[1] - margin, out=p.positions[:, 1])
+            for a in range(d):
+                np.clip(p.positions[:, a], margin, g.size[a] - margin,
+                        out=p.positions[:, a])
 
             # velocity gradient L_ab = Σ_k v_a ∂N/∂x_b
-            lgrad = sums[4:8].T.reshape(n, 2, 2)
+            lgrad = sums[2 * d:].T.reshape(n, d, d)
             strain_inc = 0.5 * (lgrad + lgrad.transpose(0, 2, 1)) * dt
             spin_inc = 0.5 * (lgrad - lgrad.transpose(0, 2, 1)) * dt
 
+            # the trace summed in axis order, (ε00 + ε11) + ε22
             tr = strain_inc[:, 0, 0] + strain_inc[:, 1, 1]
+            for a in range(2, d):
+                tr += strain_inc[:, a, a]
             p.volumes = p.volumes * (1.0 + tr)
             self._update_stress(strain_inc, spin_inc, dt)
 
@@ -283,7 +305,7 @@ class MPMSolver:
 
         pos = c64(p.positions)
         n = pos.shape[0]
-        k = self.shape.nodes_per_particle
+        k = self.shape.support ** 2
         # particle-major (n, k) pairs: a particle's pairs are adjacent
         nodes = self._work.get("shape.nodes", (n, k), np.int64)
         w = self._work.get("shape.weights", (n, k), f64)
@@ -330,7 +352,8 @@ class MPMSolver:
         :class:`DruckerPrager` is updated by its compiled kernel, in place
         and bitwise-equal to its ``update_stress``; any other material,
         subclasses included (they may override the update), runs its own
-        ``update_stress``."""
+        ``update_stress``. 2-D materials take and return the plane-strain
+        ``sigma_zz`` beside the stresses; 3-D ones only the stresses."""
         p = self.particles
         # the kernel writes in place, so only onto the particles' own
         # arrays, in the layout it reads
@@ -349,10 +372,15 @@ class MPMSolver:
             sel = p.material_ids == mat_id
             if not np.any(sel):
                 continue
+            jacobian = p.volumes[sel] / p.initial_volumes[sel]
+            if p.sigma_zz is None:              # 3-D
+                p.stresses[sel] = mat.update_stress(
+                    p.stresses[sel], strain_inc[sel], spin_inc[sel],
+                    jacobian=jacobian, dt=dt)
+                continue
             s_new, szz_new = mat.update_stress(
                 p.stresses[sel], p.sigma_zz[sel], strain_inc[sel],
-                spin_inc[sel],
-                jacobian=p.volumes[sel] / p.initial_volumes[sel], dt=dt)
+                spin_inc[sel], jacobian=jacobian, dt=dt)
             p.stresses[sel] = s_new
             p.sigma_zz[sel] = szz_new
 
@@ -370,7 +398,7 @@ class MPMSolver:
                 dt: float | None = None) -> np.ndarray:
         """Run and record particle positions every ``record_every`` steps.
 
-        Returns ``(T, n, 2)`` positions including the initial state.
+        Returns ``(T, n, d)`` positions including the initial state.
         """
         frames = [self.particles.positions.copy()]
         for i in range(num_steps):

@@ -1,23 +1,17 @@
 """3-D Material Point Method — the paper's §7 scaling direction realized.
 
-Same USL architecture as :mod:`repro.mpm`, lifted to three dimensions:
-27-node quadratic B-spline transfers, full 3×3 stress tensors, and a
-six-face frictional box boundary. The axisymmetric column collapse here
-is the experiment the paper's 2-D setup approximates.
+The 3-D step is :mod:`repro.mpm`'s own: its ``Grid``, ``Particles``,
+``BoxBoundary``, shape functions and ``MPMSolver`` take d = 3 from the
+grid (27-node quadratic transfers, six-face frictional box). This
+package adds what is per dimension: full 3×3 constitutive models and
+the 3-D scenarios. The axisymmetric column collapse here is the
+experiment the paper's 2-D setup approximates.
 """
 
-from .shape3d import LinearShape3D, QuadraticShape3D, ShapeKernel3D, make_shape3d
 from .materials3d import DruckerPrager3D, LinearElastic3D, Material3D
-from .solver3d import (
-    BoxBoundary3D, Grid3D, MPM3DConfig, MPM3DSolver, Particles3D,
-    block_particles,
-)
 from .scenarios3d import column_collapse_3d, elastic_drop_3d, radial_runout
 
 __all__ = [
-    "LinearShape3D", "QuadraticShape3D", "ShapeKernel3D", "make_shape3d",
     "DruckerPrager3D", "LinearElastic3D", "Material3D",
-    "BoxBoundary3D", "Grid3D", "MPM3DConfig", "MPM3DSolver", "Particles3D",
-    "block_particles",
     "column_collapse_3d", "elastic_drop_3d", "radial_runout",
 ]

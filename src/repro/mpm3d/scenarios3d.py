@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mpm import BoxBoundary, Grid, MPMConfig, MPMSolver, Particles
 from .materials3d import DruckerPrager3D, LinearElastic3D
-from .solver3d import (
-    BoxBoundary3D, Grid3D, MPM3DConfig, MPM3DSolver, block_particles,
-)
 
 __all__ = ["column_collapse_3d", "elastic_drop_3d", "radial_runout"]
+
+_GRAVITY = (0.0, 0.0, -9.81)
 
 
 def column_collapse_3d(
@@ -25,7 +25,7 @@ def column_collapse_3d(
     gravity — the axisymmetric experiment (Lube et al. 2004) behind the
     paper's 2-D setup."""
     h = 1.0 / cells_per_unit
-    grid = Grid3D(domain, h, BoxBoundary3D(friction=0.35))
+    grid = Grid(domain, h, BoxBoundary(friction=0.35))
     material = DruckerPrager3D(density=1800.0, youngs_modulus=youngs_modulus,
                                poisson_ratio=0.3,
                                friction_angle=friction_angle)
@@ -33,18 +33,18 @@ def column_collapse_3d(
     spacing = h / particles_per_cell
     height = aspect_ratio * 2.0 * column_radius
     cx, cy = domain[0] / 2, domain[1] / 2
-    block = block_particles(
+    block = Particles.from_block(
         (cx - column_radius, cy - column_radius, margin),
         (cx + column_radius, cy + column_radius, margin + height),
         spacing, material.density)
     # carve the cylinder out of the block
     r = np.hypot(block.positions[:, 0] - cx, block.positions[:, 1] - cy)
     keep = r <= column_radius
-    particles = type(block)(
+    particles = Particles(
         positions=block.positions[keep], velocities=block.velocities[keep],
         masses=block.masses[keep], volumes=block.volumes[keep],
         stresses=block.stresses[keep])
-    solver = MPM3DSolver(grid, particles, material, MPM3DConfig())
+    solver = MPMSolver(grid, particles, material, MPMConfig(gravity=_GRAVITY))
     meta = dict(column_radius=column_radius, aspect_ratio=aspect_ratio,
                 friction_angle=friction_angle, center=(cx, cy),
                 base_z=margin)
@@ -55,18 +55,18 @@ def elastic_drop_3d(domain=(1.0, 1.0, 1.0), cells_per_unit: int = 12,
                     drop_height: float = 0.3, youngs_modulus: float = 5e5):
     """Soft elastic cube dropped onto the floor."""
     h = 1.0 / cells_per_unit
-    grid = Grid3D(domain, h, BoxBoundary3D(friction=0.0, mode="slip"))
+    grid = Grid(domain, h, BoxBoundary(friction=0.0, mode="slip"))
     material = LinearElastic3D(density=1000.0,
                                youngs_modulus=youngs_modulus,
                                poisson_ratio=0.3)
     margin = grid.interior_margin()
     side = 0.2
     c = domain[0] / 2
-    particles = block_particles(
+    particles = Particles.from_block(
         (c - side / 2, c - side / 2, margin + drop_height),
         (c + side / 2, c + side / 2, margin + drop_height + side),
         h / 2, material.density)
-    return MPM3DSolver(grid, particles, material, MPM3DConfig()), \
+    return MPMSolver(grid, particles, material, MPMConfig(gravity=_GRAVITY)), \
         dict(drop_height=drop_height, side=side)
 
 

@@ -49,6 +49,18 @@ class TestDtypePromotion:
         for out in switched_outputs(backend, mixed):
             assert out.dtype == np.float64
 
+    def test_mlp_tape_op_promotes_f32_input(self):
+        """``MLP.forward`` (one tape node) on a float32 input with float64
+        parameters runs in float64, as the ``Tensor`` ops ``x @ w + b``
+        do, bitwise-equal to the same input cast to float64."""
+        x = RNG.normal(size=(2, 3)).astype(np.float32)
+        for sizes in ([3, 2], [3, 4, 2]):
+            mlp = MLP(sizes, np.random.default_rng(0))
+            mixed = mlp(Tensor(x)).data
+            assert mixed.dtype == np.float64, sizes
+            assert np.array_equal(
+                mixed, mlp(Tensor(x.astype(np.float64))).data), sizes
+
     def test_f32_stays_f32(self, backend):
         a = Tensor(RNG.normal(size=(6, 4)).astype(np.float32))
         b = Tensor(RNG.normal(size=(6, 4)).astype(np.float32))

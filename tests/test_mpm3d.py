@@ -1,51 +1,17 @@
-"""Tests for the 3-D MPM solver and the 3-D GNS pipeline."""
+"""Tests for MPM in three dimensions (``repro.mpm``'s solver on a 3-D
+grid with the materials and scenarios of ``repro.mpm3d``) and the 3-D
+GNS pipeline. The shape functions' 3-D checks live with the 2-D ones in
+``tests/test_mpm_shape.py``."""
 
 import numpy as np
 import pytest
 
+from repro.mpm import BoxBoundary, Grid, MPMConfig, MPMSolver, Particles
+from repro.mpm.shape import LinearShape, make_shape
 from repro.mpm3d import (
-    BoxBoundary3D, DruckerPrager3D, Grid3D, LinearElastic3D, LinearShape3D,
-    MPM3DConfig, MPM3DSolver, QuadraticShape3D, block_particles,
-    column_collapse_3d, elastic_drop_3d, make_shape3d, radial_runout,
+    DruckerPrager3D, LinearElastic3D, column_collapse_3d, elastic_drop_3d,
+    radial_runout,
 )
-
-DIMS = (12, 12, 12)
-H = 0.1
-
-
-@pytest.mark.parametrize("shape_cls", [LinearShape3D, QuadraticShape3D])
-class TestShape3D:
-    def test_partition_of_unity(self, shape_cls):
-        rng = np.random.default_rng(0)
-        pos = rng.uniform(3 * H, 8 * H, size=(40, 3))
-        k = shape_cls()(pos, H, DIMS)
-        np.testing.assert_allclose(k.weights.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_gradients_sum_to_zero(self, shape_cls):
-        rng = np.random.default_rng(1)
-        pos = rng.uniform(3 * H, 8 * H, size=(40, 3))
-        k = shape_cls()(pos, H, DIMS)
-        np.testing.assert_allclose(k.grads.sum(axis=1), 0.0, atol=1e-10)
-
-    def test_reproduces_linear_field(self, shape_cls):
-        rng = np.random.default_rng(2)
-        pos = rng.uniform(3 * H, 8 * H, size=(20, 3))
-        k = shape_cls()(pos, H, DIMS)
-        ny, nz = DIMS[1], DIMS[2]
-        ids = k.nodes
-        node_xyz = np.stack([(ids // (ny * nz)) * H,
-                             ((ids // nz) % ny) * H,
-                             (ids % nz) * H], axis=-1)
-        f = (2.0 * node_xyz[..., 0] - 3.0 * node_xyz[..., 1]
-             + 0.5 * node_xyz[..., 2] + 1.0)
-        interp = (k.weights * f).sum(axis=1)
-        expected = 2 * pos[:, 0] - 3 * pos[:, 1] + 0.5 * pos[:, 2] + 1.0
-        np.testing.assert_allclose(interp, expected, atol=1e-10)
-
-    def test_node_count(self, shape_cls):
-        k = shape_cls()(np.array([[0.55, 0.55, 0.55]]), H, DIMS)
-        assert k.nodes.shape[1] == shape_cls.nodes_per_particle
-        assert len(np.unique(k.nodes[0])) == shape_cls.nodes_per_particle
 
 
 class TestMaterials3D:
@@ -90,13 +56,13 @@ class TestMaterials3D:
 class TestSolver3D:
     @staticmethod
     def _free_fall(gravity=(0.0, 0.0, -9.81)):
-        grid = Grid3D((1.0, 1.0, 1.0), 1.0 / 16,
-                      BoxBoundary3D(friction=0.0, mode="slip"))
+        grid = Grid((1.0, 1.0, 1.0), 1.0 / 16,
+                    BoxBoundary(friction=0.0, mode="slip"))
         mat = LinearElastic3D(density=1000.0, youngs_modulus=1e5,
                               poisson_ratio=0.3)
-        p = block_particles((0.4, 0.4, 0.6), (0.6, 0.6, 0.8), 1.0 / 32,
-                            mat.density)
-        return MPM3DSolver(grid, p, mat, MPM3DConfig(gravity=gravity))
+        p = Particles.from_block((0.4, 0.4, 0.6), (0.6, 0.6, 0.8), 1.0 / 32,
+                                 mat.density)
+        return MPMSolver(grid, p, mat, MPMConfig(gravity=gravity))
 
     def test_mass_conserved(self):
         s = self._free_fall()
@@ -124,19 +90,33 @@ class TestSolver3D:
         assert drop == pytest.approx(0.5 * 9.81 * t * (t + 2e-4), rel=2e-3)
 
     def test_floor_stops_block(self):
-        grid = Grid3D((1.0, 1.0, 1.0), 1.0 / 16, BoxBoundary3D(mode="sticky"))
+        grid = Grid((1.0, 1.0, 1.0), 1.0 / 16, BoxBoundary(mode="sticky"))
         mat = LinearElastic3D(density=1000.0, youngs_modulus=1e5,
                               poisson_ratio=0.3)
-        p = block_particles((0.4, 0.4, 0.2), (0.6, 0.6, 0.35), 1.0 / 32,
-                            mat.density)
-        s = MPM3DSolver(grid, p, mat, MPM3DConfig())
+        p = Particles.from_block((0.4, 0.4, 0.2), (0.6, 0.6, 0.35), 1.0 / 32,
+                                 mat.density)
+        s = MPMSolver(grid, p, mat, MPMConfig(gravity=(0.0, 0.0, -9.81)))
         s.run(300)
         assert p.positions[:, 2].min() >= grid.interior_margin() - 1e-9
         assert np.sqrt((p.velocities ** 2).sum(axis=1)).mean() < 0.5
 
     def test_grid_size_mismatch_raises(self):
         with pytest.raises(ValueError):
-            Grid3D((1.05, 1.0, 1.0), 0.1)
+            Grid((1.05, 1.0, 1.0), 0.1)
+
+    def test_dimension_mismatch_raises(self):
+        """Particles and gravity must have the grid's dimension: the
+        default 2-D gravity on a 3-D grid, 2-D particles on it, and 3-D
+        gravity on a 2-D grid all raise."""
+        s = self._free_fall()
+        flat = Particles.from_block((0.4, 0.4), (0.6, 0.6), 1.0 / 32, 1.0)
+        grid_2d = Grid((1.0, 1.0), 1.0 / 16)
+        for grid, particles, config in (
+                (s.grid, s.particles, MPMConfig()),
+                (s.grid, flat, s.config),
+                (grid_2d, flat, s.config)):
+            with pytest.raises(ValueError, match="same dimension"):
+                MPMSolver(grid, particles, s.materials, config)
 
     def test_rollout_shape(self):
         s = self._free_fall()
@@ -180,9 +160,16 @@ class TestScenarios3D:
         assert solver.particles.positions[:, 2].min() > 0.0
 
     def test_make_shape3d_factory(self):
-        assert isinstance(make_shape3d("linear"), LinearShape3D)
+        # the one factory builds the 3-D bases too: a linear kernel on a
+        # 3-D grid spans the particle's 2×2×2 cell corners
+        shape = make_shape("linear")
+        assert isinstance(shape, LinearShape)
+        pos = np.random.default_rng(0).uniform(0.3, 0.7, size=(5, 3))
+        k = shape(pos, 0.1, (12, 12, 12))
+        assert k.weights.shape[0] == 8
+        np.testing.assert_allclose(k.weights.sum(axis=0), 1.0, atol=1e-12)
         with pytest.raises(ValueError):
-            make_shape3d("cubic")
+            make_shape("cubic")
 
 
 class TestGNS3D:
