@@ -18,13 +18,9 @@ def main() -> None:
           f"{'dR / R0':>8}")
     results = []
     for aspect in (0.5, 1.0, 1.5):
-        # a unit-high domain: the default 0.5 m would put the tallest
-        # column's top above the wall surface and its shape-function
-        # support past the grid
         solver, meta = column_collapse_3d(aspect_ratio=aspect,
                                           cells_per_unit=14,
-                                          column_radius=0.12,
-                                          domain=(1.0, 1.0, 1.0))
+                                          column_radius=0.12)
         # run until the column settles
         while solver.time < 0.8:
             solver.step()

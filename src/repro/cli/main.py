@@ -14,10 +14,10 @@ Subcommands cover the full paper workflow without writing Python:
   directory as text or self-contained HTML (flame chart, op table,
   metric percentiles), or merge per-worker shards into one labeled
   timeline.
-* ``repro serve run|bench`` — the simulation-as-a-service front door:
-  run a demo workload through a live service, or sweep concurrency
-  levels (healthy + forced-degraded) and write ``BENCH_serve.json``
-  (the serve-chaos CI artifact; see ``docs/serving.md``).
+* ``repro serve run`` — the simulation-as-a-service front door: push
+  a demo workload through a live service and print its stats (the
+  serve-chaos CI job runs it under injected faults; see
+  ``docs/serving.md``).
 * ``repro lint``     — run the domain static-analysis rules
   (determinism, dtype discipline, autodiff contracts, conventions; see
   ``docs/static-analysis.md``).
@@ -186,20 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "merge: default merged.jsonl in the run dir)")
 
     p = sub.add_parser("serve", help="simulation-as-a-service front door")
-    p.add_argument("action", choices=["run", "bench"],
+    p.add_argument("action", choices=["run"],
                    help="run = start a service, push a demo workload "
-                        "through it and print the stats; bench = sweep "
-                        "concurrency levels (healthy + degraded modes) "
-                        "and write BENCH_serve.json")
+                        "through it and print the stats")
     p.add_argument("--checkpoint", type=Path, default=None,
                    help="checkpoint to serve (default: a synthetic "
                         "deterministic simulator)")
     p.add_argument("--requests", type=int, default=16,
-                   help="run: total demo requests (default 16)")
-    p.add_argument("--concurrency", default="1,4,8", metavar="LIST",
-                   help="bench: comma-separated concurrency levels")
-    p.add_argument("--requests-per-level", type=int, default=16,
-                   help="bench: requests per concurrency level")
+                   help="total demo requests (default 16)")
     p.add_argument("--num-steps", type=int, default=5,
                    help="rollout length per request")
     p.add_argument("--workers", type=int, default=2,
@@ -208,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="micro-batch cap while healthy")
     p.add_argument("--attempt-timeout", type=float, default=2.0,
                    help="per-attempt deadline in seconds (0 = unbounded)")
-    p.add_argument("--output", type=Path, default=Path("BENCH_serve.json"),
-                   help="bench: result path (default BENCH_serve.json)")
     p.add_argument("--telemetry", type=Path, default=None, metavar="DIR",
                    help="write telemetry.jsonl + manifest.json to DIR")
     _add_faults_args(p)
@@ -674,44 +666,15 @@ def _cmd_telemetry(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from ..serve.bench import (
-        BenchConfig, run_bench, synthetic_seed, synthetic_simulator,
-    )
+    from ..gns import LearnedSimulator
+    from ..serve import RolloutRequest, ServeConfig, ServeError, \
+        SimulationService
+    from ..serve.synthetic import synthetic_seed, synthetic_simulator
 
     attempt_timeout = args.attempt_timeout or None
     session = _open_session(args, action=args.action,
                             workers=args.workers, max_batch=args.max_batch,
                             num_steps=args.num_steps)
-
-    if args.action == "bench":
-        levels = tuple(int(s) for s in args.concurrency.split(",") if s)
-        cfg = BenchConfig(concurrency_levels=levels,
-                          requests_per_level=args.requests_per_level,
-                          num_steps=args.num_steps,
-                          num_workers=args.workers,
-                          max_batch=args.max_batch,
-                          attempt_timeout=attempt_timeout)
-        report = run_bench(args.output, cfg)
-        for mode, m in report["modes"].items():
-            print(f"{mode}:")
-            for lv in m["levels"]:
-                print(f"  c={lv['concurrency']:<3d} "
-                      f"{lv['req_per_sec']:8.1f} req/s  "
-                      f"p50={lv['p50_ms']:.1f} ms  "
-                      f"p99={lv['p99_ms']:.1f} ms  "
-                      f"lost={lv['lost']}")
-        lost = report["lost_total"]
-        print(f"wrote {args.output} (lost requests: {lost})")
-        if session is not None:
-            session.finish(summary={"lost_total": lost,
-                                    "modes": list(report["modes"])})
-            print(f"telemetry written to {session.telemetry_path.parent}")
-        return 0 if lost == 0 else 1
-
-    # action == "run": demo workload through a live service
-    from ..gns import LearnedSimulator
-    from ..serve import RolloutRequest, ServeConfig, ServeError, \
-        SimulationService
 
     if args.checkpoint is not None:
         sim = LearnedSimulator.load(args.checkpoint)

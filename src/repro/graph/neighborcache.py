@@ -95,10 +95,6 @@ class NeighborListCache:
                 "hit_rate": self.hit_rate, "skin": self.skin,
                 "radius": self.radius}
 
-    def reset_stats(self) -> None:
-        self.builds = 0
-        self.queries = 0
-
     def invalidate(self) -> None:
         """Drop the cached candidate list (forces a rebuild next query)."""
         self._ref_positions = None

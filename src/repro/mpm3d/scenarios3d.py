@@ -16,7 +16,7 @@ def column_collapse_3d(
     column_radius: float = 0.15,
     aspect_ratio: float = 1.0,
     friction_angle: float = 30.0,
-    domain=(1.0, 1.0, 0.5),
+    domain=(1.0, 1.0, 1.0),
     cells_per_unit: int = 16,
     particles_per_cell: int = 1,
     youngs_modulus: float = 2e6,
@@ -33,10 +33,12 @@ def column_collapse_3d(
     spacing = h / particles_per_cell
     height = aspect_ratio * 2.0 * column_radius
     cx, cy = domain[0] / 2, domain[1] / 2
-    block = Particles.from_block(
-        (cx - column_radius, cy - column_radius, margin),
-        (cx + column_radius, cy + column_radius, margin + height),
-        spacing, material.density)
+    lower = (cx - column_radius, cy - column_radius, margin)
+    upper = (cx + column_radius, cy + column_radius, margin + height)
+    # centred in x and y, so the upper faces decide the fit
+    if any(u > d - margin for u, d in zip(upper, domain)):
+        raise ValueError("column does not fit in the domain")
+    block = Particles.from_block(lower, upper, spacing, material.density)
     # carve the cylinder out of the block
     r = np.hypot(block.positions[:, 0] - cx, block.positions[:, 1] - cy)
     keep = r <= column_radius

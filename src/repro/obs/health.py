@@ -65,9 +65,6 @@ class HealthReport:
             return bool(self.events)
         return any(e.monitor == monitor for e in self.events)
 
-    def as_rows(self) -> list[dict]:
-        return [e.as_row() for e in self.events]
-
 
 class RolloutDivergedError(RuntimeError):
     """A rollout produced non-finite or physically-absurd state.

@@ -111,7 +111,6 @@ class TelemetrySession:
         self._finished = False
         self._restore: tuple[bool, bool] | None = None
         self._profilers: list = []
-        self._extra_rows: list[dict] = []
         self._prev_session: "TelemetrySession | None" = None
         if enable_global:
             g_tracer, g_reg = get_tracer(), get_registry()
@@ -159,11 +158,6 @@ class TelemetrySession:
         (anything with a ``rows() -> list[dict]`` method) on finish."""
         self._profilers.append(profiler)
 
-    def add_rows(self, rows: list[dict]) -> None:
-        """Append pre-built rows (e.g. a merged worker timeline) to the
-        export verbatim."""
-        self._extra_rows.extend(rows)
-
     # ------------------------------------------------------------------
     def _span_rows(self) -> list[dict]:
         rows = []
@@ -189,7 +183,6 @@ class TelemetrySession:
             rows.extend(profiler.rows())
         rows.extend(e.as_row() for e in self._health)
         rows.extend(self._events)
-        rows.extend(self._extra_rows)
         return rows
 
     def flush(self) -> Path:

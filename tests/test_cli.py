@@ -229,3 +229,34 @@ class TestTelemetry:
         rc = main(["telemetry", "summarize", str(tmp_path / "nope")])
         assert rc == 1
         assert "error" in capsys.readouterr().out
+
+
+class TestServe:
+    def test_run_accounts_for_every_request(self, tmp_path, capsys):
+        tele = tmp_path / "tele-serve"
+        rc = main(["serve", "run", "--requests", "8",
+                   "--telemetry", str(tele)])
+        assert rc == 0
+        from repro.obs import read_telemetry
+
+        counters, observed = {}, {}
+        for r in read_telemetry(tele):
+            if r["kind"] != "metric":
+                continue
+            if r["type"] == "counter":
+                counters[r["name"]] = counters.get(r["name"], 0) + r["value"]
+            elif r["type"] == "histogram":
+                observed[r["name"]] = observed.get(r["name"], 0) + r["count"]
+        assert counters["serve.admitted"] == 8
+        # every admitted request ends in a result, a typed error or a hit
+        assert sum(counters.get(f"serve.{k}", 0) for k in
+                   ("completed", "failed", "shed", "cache_hits")) == 8
+        assert observed.get("gns.step_seconds", 0) > 0
+        capsys.readouterr()
+
+    def test_bench_is_not_an_action(self, capsys):
+        # benchmarks/suite/run.py's serve-nocache is the serving benchmark
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

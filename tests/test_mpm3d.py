@@ -138,6 +138,18 @@ class TestScenarios3D:
         # settled: low kinetic energy
         assert solver.particles.kinetic_energy() < 1.0
 
+    def test_column_fits_its_domain(self):
+        # too tall for a 0.5 m high domain, too wide for a 1 m wide one
+        for kwargs in (dict(aspect_ratio=1.5, domain=(1.0, 1.0, 0.5)),
+                       dict(column_radius=0.4, aspect_ratio=0.25)):
+            with pytest.raises(ValueError, match="does not fit"):
+                column_collapse_3d(**kwargs)
+        solver, _ = column_collapse_3d()
+        m = solver.grid.interior_margin()
+        pos = solver.particles.positions
+        assert (pos >= m).all()
+        assert (pos <= np.asarray(solver.grid.size) - m).all()
+
     def test_lower_friction_spreads_farther_3d(self):
         results = {}
         for phi in (20.0, 45.0):
@@ -187,7 +199,8 @@ class TestGNS3D:
         dt = solver.stable_dt()
         frames = solver.rollout(120, record_every=10, dt=dt)
         m = solver.grid.interior_margin()
-        bounds = np.array([[m, 1.0 - m], [m, 1.0 - m], [m, 0.5 - m]])
+        bounds = np.array([[m, 1.0 - m], [m, 1.0 - m],
+                           [m, solver.grid.size[2] - m]])
         traj = Trajectory(frames, dt=dt * 10, bounds=bounds)
 
         stats = Stats.from_dict(normalization_stats([traj]))

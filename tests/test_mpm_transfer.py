@@ -467,12 +467,12 @@ def test_step_leaves_callers_arrays_alone(backend):
 
 @pytest.mark.parametrize("shape", ["linear", "quadratic"])
 # (2.0, y) is the domain's right edge: a node past the grid's last for
-# either basis; z = 0.5 is the top face of the 3-D column's domain
+# either basis; z = 1.0 is the top face of the 3-D column's domain
 @pytest.mark.parametrize("where", [
     (np.nan, 0.5), (0.5, np.inf), (5.0, 0.5), (0.5, -0.01), (2.0, 0.5),
     *(pytest.param(w, id=f"3d-where{i}") for i, w in enumerate([
         (np.nan, 0.5, 0.25), (0.5, 0.5, np.inf), (-0.5, 0.5, 0.25),
-        (0.5, -0.01, 0.25), (0.5, 0.5, 0.5)])),
+        (0.5, -0.01, 0.25), (0.5, 0.5, 1.0)])),
 ])
 def test_particle_outside_grid_raises_before_any_change(shape, where,
                                                         backend):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.resilience import arm_faults, disarm_faults
 from repro.serve import ResultCache, checkpoint_fingerprint, request_cache_key
-from repro.serve.bench import synthetic_simulator
+from repro.serve.synthetic import synthetic_simulator
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ from repro.serve import (
     BreakerConfig, QueueFullError, RequestFailedError, RolloutRequest,
     ServeConfig, ServeError, SimulationService,
 )
-from repro.serve.bench import synthetic_seed, synthetic_simulator
+from repro.serve.synthetic import synthetic_seed, synthetic_simulator
 
 RESULT_TIMEOUT = 60.0
 

@@ -13,7 +13,7 @@ from repro.serve import (
     QuotaExceededError, RolloutRequest, ServeConfig, ServiceClosedError,
     SimulationService,
 )
-from repro.serve.bench import synthetic_seed, synthetic_simulator
+from repro.serve.synthetic import synthetic_seed, synthetic_simulator
 
 RESULT_TIMEOUT = 60.0
 
