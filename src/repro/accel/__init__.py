@@ -1,5 +1,5 @@
-"""Optional CPU acceleration kernels: the float32 inference fast path
-and the float64 MPM step.
+"""Optional CPU acceleration kernels: the float32 inference fast path,
+the float64 MPM step and the float64 tape's elementwise glue.
 
 The package compiles a small set of C kernels at runtime (via cffi + the
 system C compiler) and exposes them behind a feature gate: every call

@@ -1,6 +1,6 @@
 """Runtime-compiled C kernels for the CPU hot paths.
 
-Two consumers share one library:
+Three consumers share one library:
 
 * The float32 inference fast path (``InferenceEngine(dtype=np.float32)``)
   spends its time in BLAS sgemm calls, which are already optimal, and in
@@ -12,6 +12,14 @@ Two consumers share one library:
   gather and the elastic and Drucker–Prager stress updates as float64
   kernels, one call per phase and per material instead of about 190
   NumPy calls for the phases plus each material's NumPy update.
+* The float64 tape (training and the inverse problem's k-step rollout
+  gradient) runs the elementwise glue of its fused MLPs and graph
+  aggregations as float64 kernels: the split edge first layer's two
+  gathers and first ReLU in one pass, bias+ReLU between layers,
+  LayerNorm's affine tail and input gradient, the ReLU-mask multiply of
+  the VJP, and the CSR segment sum. The GEMMs and the reductions NumPy
+  sends to BLAS or einsum (row means, variances, bias and γ/β sums) stay
+  in NumPy, whose summation order they keep.
 
 Everything is compiled once per machine with the system ``cc`` through
 cffi's ABI mode, cached on disk by source hash.
@@ -28,10 +36,11 @@ Gating and fallback
   (``REPRO_BACKEND=numpy`` or ``backend="numpy"``) never calls
   :func:`kernels`, so it compiles nothing.
 * A float64 kernel must be bitwise-equal to the NumPy path it replaces:
-  it repeats NumPy's operations in NumPy's order, its translation unit
-  is compiled with ``-ffp-contract=off`` (no fused multiply-add), and a
-  frozen NumPy oracle pins it (``tests/test_mpm_transfer.py``). The
-  float64 GNS inference path has no kernels and never dispatches here.
+  it repeats NumPy's operations in NumPy's order, and its translation
+  unit is compiled with ``-ffp-contract=off`` (no fused multiply-add).
+  A frozen NumPy oracle pins the MPM step (``tests/test_mpm_transfer.py``);
+  bit-pattern tests pin each tape kernel against its NumPy expression
+  (``tests/test_accel_cpu.py::TestTapeKernels``).
 
 Numerics
 --------
@@ -48,8 +57,9 @@ Three translation units with different flag sets:
   propagate (``-ffinite-math-only`` is *not* enabled), but the summation
   order inside a row is unspecified, so results differ from NumPy in the
   last ulp or two.
-* float64 MPM (``mpm_shape``/``mpm_p2g``/``mpm_grid``/``mpm_g2p``/
-  ``mpm_stress``): ``-ffp-contract=off`` on top of the common flags.
+* float64 (``mpm_shape``/``mpm_p2g``/``mpm_grid``/``mpm_g2p``/
+  ``mpm_stress`` and the tape's ``*64`` kernels): ``-ffp-contract=off``
+  on top of the common flags.
   With ``-march=native`` on a CPU with FMA, GCC otherwise contracts
   ``a*b + c`` into one rounding; NumPy rounds the product and the sum
   separately. Every scatter walks particle–node pairs particle-major and
@@ -61,8 +71,28 @@ Three translation units with different flag sets:
   because the spin's diagonal is zero: each entry is one rounded product
   plus an exact zero, summed from +0.0 as dgemm does.
 
+Float64 tape
+------------
+Each ``*64`` tape kernel replaces a NumPy expression of
+:mod:`repro.autodiff.fused` or :mod:`repro.autodiff.scatter` and rounds
+every product and sum on its own, in that expression's order:
+
+* ``relu64``/``bias_relu64``/``gather2_add_relu64``: ``np.maximum(h,
+  0.0)`` after ``h += bias`` or ``h += ps[s]; h += pr[r]``. The ReLU
+  gives ``np.maximum``'s bits: a NaN passes through as it is, and a zero
+  of either sign gives +0.0, because NumPy's SIMD max returns its second
+  operand when the two compare equal (on its baseline, AVX2 and AVX-512
+  targets alike; CI re-runs the tests on the baseline).
+* ``ln_affine64``: ``xhat = c * inv`` (saved), ``out = xhat * γ + β``.
+* ``ln_vjp64``: ``((g − m1) − xhat·m2) · inv`` in place.
+* ``relu_mask64``: ``g *= act > 0`` as a true multiply by 1.0 or 0.0, so
+  ``−x · 0.0`` is −0.0 and a NaN stays NaN.
+* ``segment_sum64``: each output row starts from +0.0 and adds its edge
+  rows in CSR order (through the plan's ``order`` when the index is
+  unsorted), as scipy's ``csr_matvecs`` does with unit weights.
+
 The float32 kernels require C-contiguous float32 arrays and int64
-indices, the MPM kernels C-contiguous float64 arrays; the wrappers
+indices, the float64 kernels C-contiguous float64 arrays; the wrappers
 validate this and raise rather than fall back, because a silent copy
 would hide the performance bug the caller is trying to avoid.
 """
@@ -122,6 +152,22 @@ void repro_mpm_stress64(long long n, const long long* ids, long long mat,
                         double lam, double two_mu, int plastic, double alpha,
                         double k, double p_cut, const double* strain,
                         const double* spin, double* stress, double* szz);
+void repro_relu64(double* h, long long n);
+void repro_bias_relu64(double* h, long long n, long long w,
+                       const double* bias);
+long long repro_gather2_add_relu64(double* h, long long e, long long w,
+                                   long long n, const double* ps,
+                                   const double* pr,
+                                   const long long* senders,
+                                   const long long* receivers);
+void repro_ln_affine64(double* xhat, long long n, long long w,
+                       const double* inv, const double* gamma,
+                       const double* beta, double* out);
+void repro_ln_vjp64(double* g, long long n, long long w, const double* xhat,
+                    const double* m1, const double* m2, const double* inv);
+void repro_relu_mask64(double* g, const double* act, long long n);
+void repro_segsum64(const double* v, long long w, const long long* indptr,
+                    const long long* order, long long n, double* out);
 """
 
 # Translation unit 1: strict IEEE semantics (no reassociation). The ReLU
@@ -247,10 +293,11 @@ void repro_bias_ln32(float* restrict h, i64 n, i64 w,
 }
 """
 
-# Translation unit 3: the float64 MPM step, compiled with -ffp-contract=off.
-# Each expression repeats the NumPy step's operations in its order; see
-# the module docstring for the order rules and the bitwise contract.
-_SRC_MPM = r"""
+# Translation unit 3: the float64 MPM step and the float64 tape glue,
+# compiled with -ffp-contract=off. Each expression repeats the NumPy
+# operations in their order; see the module docstring for the order rules
+# and the bitwise contract.
+_SRC_F64 = r"""
 #include <math.h>
 
 typedef long long i64;
@@ -554,16 +601,125 @@ void repro_mpm_stress64(i64 n, const i64* restrict ids, i64 mat, double lam,
         szz[p] = sz * scale + pn;
     }
 }
+
+/* ---- float64 tape glue: each kernel repeats the NumPy expression of
+ * repro.autodiff.fused / scatter it replaces, operation for operation */
+
+/* np.maximum(v, 0.0): a NaN passes through as it is (sign and payload),
+ * and a zero of either sign gives +0.0, because NumPy's SIMD max returns
+ * its second operand when the two compare equal. */
+static inline double relu64(double v)
+{
+    return v != v ? v : v > 0.0 ? v : 0.0;
+}
+
+void repro_relu64(double* restrict h, i64 n)
+{
+    for (i64 i = 0; i < n; i++)
+        h[i] = relu64(h[i]);
+}
+
+/* h += bias (a row vector), then np.maximum(h, 0.0) */
+void repro_bias_relu64(double* restrict h, i64 n, i64 w,
+                       const double* restrict bias)
+{
+    for (i64 i = 0; i < n; i++) {
+        double* row = h + i * w;
+        for (i64 j = 0; j < w; j++)
+            row[j] = relu64(row[j] + bias[j]);
+    }
+}
+
+/* The split first layer: h += ps[senders]; h += pr[receivers], then the
+ * first ReLU. Returns -1, or the first edge with an index outside
+ * [0, n) -- checked before any row is written. */
+i64 repro_gather2_add_relu64(double* restrict h, i64 e, i64 w, i64 n,
+                             const double* restrict ps,
+                             const double* restrict pr,
+                             const i64* restrict senders,
+                             const i64* restrict receivers)
+{
+    for (i64 i = 0; i < e; i++)
+        if ((u64)senders[i] >= (u64)n || (u64)receivers[i] >= (u64)n)
+            return i;
+    for (i64 i = 0; i < e; i++) {
+        double* row = h + i * w;
+        const double* s = ps + senders[i] * w;
+        const double* r = pr + receivers[i] * w;
+        for (i64 j = 0; j < w; j++)
+            row[j] = relu64((row[j] + s[j]) + r[j]);
+    }
+    return -1;
+}
+
+/* LayerNorm's affine tail on centred rows, in one pass: xhat *= inv
+ * (the row's 1/std), out = xhat * gamma + beta. */
+void repro_ln_affine64(double* restrict xhat, i64 n, i64 w,
+                       const double* restrict inv,
+                       const double* restrict gamma,
+                       const double* restrict beta, double* restrict out)
+{
+    for (i64 i = 0; i < n; i++) {
+        double* x = xhat + i * w;
+        double* o = out + i * w;
+        for (i64 j = 0; j < w; j++) {
+            double v = x[j] * inv[i];
+            x[j] = v;
+            o[j] = v * gamma[j] + beta[j];
+        }
+    }
+}
+
+/* LayerNorm's input gradient, in place on g = gxh:
+ * g -= m1; g -= xhat * m2; g *= inv, with m1, m2, inv per row. */
+void repro_ln_vjp64(double* restrict g, i64 n, i64 w,
+                    const double* restrict xhat, const double* restrict m1,
+                    const double* restrict m2, const double* restrict inv)
+{
+    for (i64 i = 0; i < n; i++) {
+        double* r = g + i * w;
+        const double* x = xhat + i * w;
+        for (i64 j = 0; j < w; j++)
+            r[j] = ((r[j] - m1[i]) - x[j] * m2[i]) * inv[i];
+    }
+}
+
+/* g *= act > 0: a true multiply by 1.0 or 0.0, as NumPy casts the mask
+ * (so -x * 0.0 is -0.0 and a NaN in g stays NaN) */
+void repro_relu_mask64(double* restrict g, const double* restrict act, i64 n)
+{
+    for (i64 i = 0; i < n; i++)
+        g[i] = g[i] * (act[i] > 0.0 ? 1.0 : 0.0);
+}
+
+/* CSR segment sum with unit weights: out row i adds the rows order[k]
+ * (row k when order is NULL) for k in [indptr[i], indptr[i+1]), in k
+ * order, from +0.0 -- scipy's csr_matvecs, whose 1.0 * x is exact. */
+void repro_segsum64(const double* restrict v, i64 w,
+                    const i64* restrict indptr, const i64* restrict order,
+                    i64 n, double* restrict out)
+{
+    for (i64 i = 0; i < n; i++) {
+        double* o = out + i * w;
+        for (i64 j = 0; j < w; j++)
+            o[j] = 0.0;
+        for (i64 k = indptr[i]; k < indptr[i + 1]; k++) {
+            const double* m = v + (order ? order[k] : k) * w;
+            for (i64 j = 0; j < w; j++)
+                o[j] += m[j];
+        }
+    }
+}
 """
 
 _FLAGS_COMMON = ["-O3", "-march=native", "-fPIC"]
 _FLAGS_LN = ["-fno-math-errno", "-fassociative-math", "-fno-signed-zeros",
              "-fno-trapping-math", "-freciprocal-math"]
-_FLAGS_MPM = ["-ffp-contract=off"]
+_FLAGS_F64 = ["-ffp-contract=off"]
 
 #: (object name, source, extra flags) of each translation unit
 _UNITS = (("strict", _SRC_STRICT, ()), ("ln", _SRC_LN, _FLAGS_LN),
-          ("mpm", _SRC_MPM, _FLAGS_MPM))
+          ("float64", _SRC_F64, _FLAGS_F64))
 
 
 def _build_dir() -> str:
@@ -612,9 +768,10 @@ class CpuKernels:
 
     Every float32 method mutates its first argument in place (except
     :meth:`segment_sum`, which fills ``out``); the ``mpm_*`` methods fill
-    the output arrays they are given. Arrays must be C-contiguous float32
-    (float64 for ``mpm_*``); index arrays must be int64 (``np.intp`` on
-    all supported platforms).
+    the output arrays they are given, and the ``*64`` tape methods
+    mutate their first argument or fill ``out``. Arrays must be
+    C-contiguous float32 (float64 for ``mpm_*`` and ``*64``); index
+    arrays must be int64 (``np.intp`` on all supported platforms).
     """
 
     def __init__(self, ffi, lib):
@@ -636,8 +793,8 @@ class CpuKernels:
 
     def _f64(self, a: np.ndarray, shape: tuple):
         if a.dtype != np.float64 or not a.flags.c_contiguous:
-            raise TypeError("accel MPM kernels need C-contiguous float64 "
-                            "arrays")
+            raise TypeError("accel float64 kernels need C-contiguous "
+                            "float64 arrays")
         if a.shape != shape:
             raise ValueError(f"expected shape {shape}, got {a.shape}")
         return self._ffi.from_buffer("double[]", a)
@@ -812,6 +969,83 @@ class CpuKernels:
             int(cone is not None), alpha, k, p_cut,
             self._f64(strain_inc, (n, 2, 2)), self._f64(spin_inc, (n, 2, 2)),
             self._f64(stresses, (n, 2, 2)), self._f64(sigma_zz, (n,)))
+
+    # -- float64 tape glue (bitwise-equal to the NumPy expressions) ------
+    def relu64(self, h: np.ndarray) -> np.ndarray:
+        """In-place ``np.maximum(h, 0.0, out=h)``."""
+        self._lib.repro_relu64(self._f64(h, h.shape), h.size)
+        return h
+
+    def bias_relu64(self, h: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """In-place ``h += bias; np.maximum(h, 0.0, out=h)`` on ``(n, w)``
+        rows."""
+        n, w = h.shape
+        self._lib.repro_bias_relu64(self._f64(h, (n, w)), n, w,
+                                    self._f64(bias, (w,)))
+        return h
+
+    def gather2_add_relu64(self, h: np.ndarray, proj_s: np.ndarray,
+                           proj_r: np.ndarray, senders: np.ndarray,
+                           receivers: np.ndarray) -> np.ndarray:
+        """In-place ``h += proj_s[senders]; h += proj_r[receivers]`` and
+        the ReLU: the split edge first layer. Indices outside
+        ``[0, len(proj_s))`` raise ``IndexError`` before ``h`` changes."""
+        e, w = h.shape
+        n = proj_s.shape[0]
+        bad = self._lib.repro_gather2_add_relu64(
+            self._f64(h, (e, w)), e, w, n, self._f64(proj_s, (n, w)),
+            self._f64(proj_r, (n, w)), self._i64(senders, (e,)),
+            self._i64(receivers, (e,)))
+        if bad >= 0:
+            raise IndexError(f"edge {bad}: node index outside [0, {n})")
+        return h
+
+    def ln_affine64(self, xhat: np.ndarray, inv: np.ndarray,
+                    gamma: np.ndarray, beta: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+        """LayerNorm's tail on centred rows: ``xhat *= inv[:, None]`` in
+        place, then ``out = xhat * gamma + beta``; returns ``out``."""
+        n, w = xhat.shape
+        self._lib.repro_ln_affine64(
+            self._f64(xhat, (n, w)), n, w, self._f64(inv, (n,)),
+            self._f64(gamma, (w,)), self._f64(beta, (w,)),
+            self._f64(out, (n, w)))
+        return out
+
+    def ln_vjp64(self, g: np.ndarray, xhat: np.ndarray, m1: np.ndarray,
+                 m2: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """In-place ``g -= m1[:, None]; g -= xhat * m2[:, None];
+        g *= inv[:, None]``: LayerNorm's input gradient from ``g`` =
+        upstream·γ."""
+        n, w = g.shape
+        self._lib.repro_ln_vjp64(
+            self._f64(g, (n, w)), n, w, self._f64(xhat, (n, w)),
+            self._f64(m1, (n,)), self._f64(m2, (n,)), self._f64(inv, (n,)))
+        return g
+
+    def relu_mask64(self, g: np.ndarray, act: np.ndarray) -> np.ndarray:
+        """In-place ``g *= act > 0`` (no boolean temporary)."""
+        self._lib.repro_relu_mask64(self._f64(g, g.shape),
+                                    self._f64(act, g.shape), g.size)
+        return g
+
+    def segment_sum64(self, values: np.ndarray, indptr: np.ndarray,
+                      order: np.ndarray | None,
+                      out: np.ndarray) -> np.ndarray:
+        """``out[i] = Σ values[order[k]]`` for ``k`` in
+        ``indptr[i]:indptr[i+1]`` (``values[k]`` when ``order`` is
+        ``None``), summed in ``k`` order from +0.0: bitwise-equal to
+        :meth:`repro.autodiff.SortedSegments.matrix` ``@ values``."""
+        e, w = values.shape
+        n = out.shape[0]
+        if indptr.shape != (n + 1,) or int(indptr[0]) != 0 \
+                or int(indptr[-1]) != e:
+            raise ValueError("indptr does not cover the edges once")
+        self._lib.repro_segsum64(
+            self._f64(values, (e, w)), w, self._i64(indptr),
+            self._ffi.NULL if order is None else self._i64(order, (e,)),
+            n, self._f64(out, (n, w)))
+        return out
 
 
 _KERNELS: CpuKernels | None = None

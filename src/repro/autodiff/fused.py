@@ -63,12 +63,13 @@ def _buf(getbuf, tag: str, shape: tuple, dtype) -> np.ndarray:
 
 
 def _accel_for(h: np.ndarray, saved, backend=None) -> object | None:
-    """Compiled float32 kernels for ``h``, or None when NumPy applies.
+    """Compiled kernels for the fused float32 tail of ``h``, or None.
 
-    Only the no-grad float32 path ever dispatches to compiled kernels:
-    the float64 path keeps its bitwise-equality contract with the legacy
-    per-op implementation, and tape mode (``saved``) needs the NumPy
-    intermediates for the VJP. ``backend`` is resolved by
+    Only the no-grad float32 path runs :func:`_mlp_tail_accel`, whose
+    LayerNorm kernel reassociates its sums: tape mode (``saved``) keeps
+    the float64 contract and needs the NumPy intermediates for the VJP.
+    The float64 tail asks :func:`_accel64` instead, one step at a time,
+    and its kernels keep NumPy's bits. ``backend`` is resolved by
     :func:`repro.backend.get_backend` (the inference engine passes the
     handle it resolved at construction).
     """
@@ -77,15 +78,34 @@ def _accel_for(h: np.ndarray, saved, backend=None) -> object | None:
     return get_backend(backend).float32_kernels()
 
 
+_TAPE_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+
+
+def _accel64(backend, *arrays: np.ndarray) -> object | None:
+    """Compiled kernels for the float64 glue over ``arrays``, or None.
+
+    They run when every array is C-contiguous float64 (int64 for
+    indices) and the switch is ``accel``. Each float64 glue kernel
+    repeats its NumPy expression's operations in order (see
+    :mod:`repro.accel.cpu`), so the answer changes speed, never bits.
+    """
+    for a in arrays:
+        if a.dtype not in _TAPE_DTYPES or not a.flags.c_contiguous:
+            return None
+    return get_backend(backend).float32_kernels()
+
+
 # ----------------------------------------------------------------------
 # NumPy forward kernels (shared by tape ops and no-grad inference)
 # ----------------------------------------------------------------------
 
-def _ln_stats(h: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(centered, inv_std)`` for LayerNorm over the last axis."""
+def _ln_stats(h: np.ndarray, eps: float, out: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(centered, inv_std)`` for LayerNorm over the last axis;
+    ``out=h`` centres in place."""
     width = h.shape[-1]
     mu = h @ _mean_vec(width, h.dtype)
-    centered = h - mu[:, None]
+    centered = np.subtract(h, mu[:, None], out=out)
     var = np.einsum("ij,ij->i", centered, centered)
     var /= width
     var += eps
@@ -150,39 +170,61 @@ def _mlp_tail_accel(h: np.ndarray, weights, biases, gamma, beta, eps: float,
 
 
 def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
-              getbuf=None, tag: str = "mlp",
-              saved: dict | None = None, backend=None) -> np.ndarray:
+              getbuf=None, tag: str = "mlp", saved: dict | None = None,
+              backend=None, bias0: np.ndarray | None = None,
+              activated: bool = False) -> np.ndarray:
     """Layers 1..K−1 plus optional LayerNorm, given layer-0 pre-activation.
 
-    With ``saved`` (tape mode) every intermediate is a fresh allocation
-    and the post-ReLU activations / LayerNorm stats are recorded for the
-    VJP. Without it, ReLU and LayerNorm run in place and matmuls target
-    caller buffers — same operations, bitwise-identical values. On the
-    no-grad float32 path, multi-layer tails dispatch to the fused C
-    kernels when available.
+    With ``bias0`` the layer-0 bias has not been added yet; with
+    ``activated`` the caller already applied the first ReLU (the float64
+    split edge first layer). With ``saved`` (tape mode) every
+    intermediate is a fresh allocation and the post-ReLU activations /
+    LayerNorm stats are recorded for the VJP. Without it, ReLU and
+    LayerNorm run in place and matmuls target caller buffers — same
+    operations, bitwise-identical values. On the no-grad float32 path,
+    multi-layer tails dispatch to the fused C kernels when available; on
+    float64 each bias+ReLU, ReLU and tape LayerNorm step calls its
+    compiled kernel when :func:`_accel64` gives one, its NumPy
+    expression otherwise.
     """
     if len(weights) > 1:
         kern = _accel_for(h, saved, backend)
         if kern is not None:
             return _mlp_tail_accel(h, weights, biases, gamma, beta, eps,
-                                   getbuf, tag, kern)
+                                   getbuf, tag, kern, bias0=bias0,
+                                   activated=activated)
+    norm = () if gamma is None else (gamma, beta)
+    kern = _accel64(backend, h, *biases, *norm)
     acts = []
+    pending = bias0  # the bias still to add before the next ReLU
     for k in range(1, len(weights)):
-        np.maximum(h, 0.0, out=h)
+        if kern is None:
+            if pending is not None:
+                h += pending
+            np.maximum(h, 0.0, out=h)
+        elif pending is not None:
+            kern.bias_relu64(h, pending)
+        elif not activated:
+            kern.relu64(h)
         acts.append(h)
         out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
                    h.dtype)
         h = np.matmul(h, weights[k], out=out)
-        h += biases[k]
+        pending = biases[k]
+    if pending is not None:
+        h += pending
     if gamma is not None:
         if saved is not None:
-            centered, inv = _ln_stats(h, eps)
-            xhat = centered
-            xhat *= inv[:, None]
-            out = xhat * gamma
-            out += beta
+            # the kernel path centres h, this op's own fresh array, in place
+            xhat, inv = _ln_stats(h, eps, out=None if kern is None else h)
+            if kern is not None:
+                h = kern.ln_affine64(xhat, inv, gamma, beta,
+                                     np.empty_like(h))
+            else:
+                xhat *= inv[:, None]
+                h = xhat * gamma
+                h += beta
             saved["xhat"], saved["inv"] = xhat, inv
-            h = out
         else:
             layer_norm_inplace(h, gamma, beta, eps, backend=backend)
     if saved is not None:
@@ -205,22 +247,21 @@ def mlp_forward_numpy(x: np.ndarray, weights, biases, gamma=None, beta=None,
     h = np.matmul(x, weights[0],
                   out=_buf(getbuf, f"{tag}.0", (x.shape[0], weights[0].shape[1]),
                            np.result_type(x, weights[0])))
-    if len(weights) > 1:
-        kern = _accel_for(h, saved, backend)
-        if kern is not None:
-            # layer-0 bias folds into the first fused bias+ReLU pass
-            return _mlp_tail_accel(h, weights, biases, gamma, beta, eps,
-                                   getbuf, tag, kern, bias0=biases[0])
-    h += biases[0]
-    return _mlp_tail(h, weights, biases, gamma, beta, eps,
-                     getbuf=getbuf, tag=tag, saved=saved, backend=backend)
+    # layer-0 bias folds into the first bias+ReLU pass
+    return _mlp_tail(h, weights, biases, gamma, beta, eps, getbuf=getbuf,
+                     tag=tag, saved=saved, backend=backend, bias0=biases[0])
 
 
 def edge_mlp_first_layer(edge_f: np.ndarray, node_f: np.ndarray,
                          senders: np.ndarray, receivers: np.ndarray,
                          w0: np.ndarray, b0: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Split-evaluate ``concat([edge_f, node_f[s], node_f[r]]) @ w0 + b0``."""
+                         out: np.ndarray | None = None,
+                         kern=None) -> np.ndarray:
+    """Split-evaluate ``concat([edge_f, node_f[s], node_f[r]]) @ w0 + b0``.
+
+    With ``kern`` (float64 operands) the two gather-adds and the ReLU
+    that follows run as one compiled pass, and the result is activated.
+    """
     ein = edge_f.shape[1]
     width = node_f.shape[1]
     w_edge = w0[:ein]
@@ -233,6 +274,8 @@ def edge_mlp_first_layer(edge_f: np.ndarray, node_f: np.ndarray,
         h = edge_f @ w_edge
     else:
         h = np.matmul(edge_f, w_edge, out=out)
+    if kern is not None:
+        return kern.gather2_add_relu64(h, proj_s, proj_r, senders, receivers)
     h += proj_s.take(senders, axis=0)
     h += proj_r.take(receivers, axis=0)
     return h
@@ -275,10 +318,14 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
         m1 = gxh @ _mean_vec(width, gxh.dtype)
         m2 = np.einsum("ij,ij->i", gxh, xhat)
         m2 /= width
-        gh = gxh
-        gh -= m1[:, None]
-        gh -= xhat * m2[:, None]
-        gh *= inv[:, None]
+        kern = _accel64(None, gxh, xhat)
+        if kern is not None:
+            gh = kern.ln_vjp64(gxh, xhat, m1, m2, inv)
+        else:
+            gh = gxh
+            gh -= m1[:, None]
+            gh -= xhat * m2[:, None]
+            gh *= inv[:, None]
     else:
         gh = np.asarray(g)
     acts = saved["acts"]
@@ -289,7 +336,11 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
         if grads.wants(biases[k]):
             Tensor._add_grad(grads, biases[k], gh.sum(axis=0))
         gh = gh @ weights[k].data.T
-        gh *= act > 0
+        kern = _accel64(None, gh, act)
+        if kern is not None:
+            kern.relu_mask64(gh, act)
+        else:
+            gh *= act > 0
     return gh
 
 
@@ -363,12 +414,16 @@ def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
     senders = np.asarray(senders, dtype=np.intp)
     receivers = np.asarray(receivers, dtype=np.intp)
     saved: dict = {}
+    # the kernel applies the first ReLU, which a one-layer MLP does not have
+    kern = _accel64(None, edge_f.data, node_f.data, weights[0].data,
+                    biases[0].data, senders,
+                    receivers) if len(weights) > 1 else None
     h0 = edge_mlp_first_layer(edge_f.data, node_f.data, senders, receivers,
-                              weights[0].data, biases[0].data)
+                              weights[0].data, biases[0].data, kern=kern)
     out = _mlp_tail(h0, [w.data for w in weights], [b.data for b in biases],
                     gamma.data if gamma is not None else None,
                     beta.data if beta is not None else None,
-                    eps, saved=saved)
+                    eps, saved=saved, activated=kern is not None)
 
     def backward(g, grads):
         gh = _mlp_backward_tail(g, saved, weights, biases, gamma, beta, grads)

@@ -50,7 +50,7 @@ class SortedSegments:
                  "backend", "_matrices", "_counts")
 
     def __init__(self, index: np.ndarray, num_segments: int, backend=None):
-        # backend switches the float32 segment_sum kernel; None follows
+        # backend switches the compiled segment_sum kernels; None follows
         # REPRO_BACKEND at call time
         self.backend = backend
         index = np.asarray(index, dtype=np.intp)
@@ -97,8 +97,9 @@ class SortedSegments:
         """Per-segment sum of ``values`` (leading axis = edges).
 
         ``out`` is used when the execution path supports writing in place
-        (the float32 C kernel and the trivial zero-edge case); callers
-        must always use the return value.
+        (the C kernels and the trivial zero-edge case); callers must
+        always use the return value. The float64 kernel follows
+        ``order``; the float32 one runs on sorted indices only.
         """
         shape = (self.num_segments,) + values.shape[1:]
         if self.num_edges == 0:
@@ -111,19 +112,23 @@ class SortedSegments:
                               minlength=self.num_segments)
             return res.astype(values.dtype, copy=False)
         flat = values.reshape(self.num_edges, -1)
-        if (flat.dtype == np.float32 and self.order is None
-                and flat.flags.c_contiguous
-                and self.indptr.dtype == np.int64):
+        kern = None
+        if (flat.flags.c_contiguous and self.indptr.dtype == np.int64
+                and (flat.dtype == np.float64 or (flat.dtype == np.float32
+                                                  and self.order is None))):
             kern = get_backend(self.backend).float32_kernels()
-            if kern is not None:
-                res = out if (out is not None and out.shape == shape
-                              and out.dtype == np.float32
-                              and out.flags.c_contiguous) \
-                    else np.empty((self.num_segments, flat.shape[1]),
-                                  dtype=np.float32)
-                kern.segment_sum(flat, self.indptr,
-                                 res.reshape(self.num_segments, -1))
-                return res if res.shape == shape else res.reshape(shape)
+        if kern is not None:
+            res = out if (out is not None and out.shape == shape
+                          and out.dtype == flat.dtype
+                          and out.flags.c_contiguous) \
+                else np.empty((self.num_segments, flat.shape[1]),
+                              dtype=flat.dtype)
+            target = res.reshape(self.num_segments, -1)
+            if flat.dtype == np.float32:
+                kern.segment_sum(flat, self.indptr, target)
+            else:
+                kern.segment_sum64(flat, self.indptr, self.order, target)
+            return res if res.shape == shape else res.reshape(shape)
         res = self.matrix(flat.dtype) @ flat
         return np.asarray(res).reshape(shape)
 

@@ -2,23 +2,24 @@
 
 Every array operation is NumPy. The switch decides one thing: whether
 the compiled C kernels of :mod:`repro.accel` (the fused float32
-inference kernels and the float64 MPM step) may run.
+inference kernels, the float64 MPM step and the float64 tape's
+elementwise glue) may run.
 :func:`get_backend` resolves a name, a handle or ``None`` to one of two
 frozen handles:
 
-* ``accel`` (the default) runs the kernels wherever dtype, layout and
-  tape mode allow them and the toolchain could build them;
+* ``accel`` (the default) runs the kernels wherever dtype and layout
+  allow them and the toolchain could build them;
 * ``numpy`` never runs them and never builds them: it is the reference
   every kernel is gated against.
 
 Precedence is a ``backend=`` keyword, then ``REPRO_BACKEND``, then
 ``accel``. :class:`~repro.gns.engine.InferenceEngine` and
 :class:`~repro.mpm.MPMSolver` resolve their handle once, at
-construction. Float64 results are bitwise-equal on both: a float64
-kernel repeats the NumPy step's operations in its order (compiled with
-``-ffp-contract=off``, pinned by the frozen oracle in
-``tests/test_mpm_transfer.py``), the float64 GNS path has no kernels,
-and tape mode never consults them.
+construction; the tape reads the switch at each op. Float64 results
+are bitwise-equal on both: a float64 kernel repeats NumPy's operations
+in its order (compiled with ``-ffp-contract=off``, pinned by the frozen
+MPM oracle in ``tests/test_mpm_transfer.py`` and the tape kernels'
+bit-pattern tests in ``tests/test_accel_cpu.py``).
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class Backend:
 
     def float32_kernels(self):
         """The compiled kernels (:class:`repro.accel.CpuKernels`: the
-        float32 inference kernels and the float64 MPM step), or ``None``
-        on ``numpy`` and where the toolchain cannot build them."""
+        float32 inference kernels, the float64 MPM step and tape glue),
+        or ``None`` on ``numpy`` and where the toolchain cannot build
+        them."""
         return kernels() if self.name == "accel" else None
 
 

@@ -665,7 +665,14 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
+#: seconds ``repro serve run`` waits for each admitted request's result;
+#: a request still unresolved then counts as lost
+SERVE_RESULT_TIMEOUT = 60.0
+
+
 def _cmd_serve(args) -> int:
+    import concurrent.futures
+
     from ..gns import LearnedSimulator
     from ..serve import RolloutRequest, ServeConfig, ServeError, \
         SimulationService
@@ -686,37 +693,42 @@ def _cmd_serve(args) -> int:
         num_workers=args.workers, max_batch=args.max_batch,
         attempt_timeout=attempt_timeout))
     futures = []
-    rejected = 0
-    for i in range(args.requests):
-        request = RolloutRequest(
-            seed_frames=seed, num_steps=args.num_steps,
-            material=float(20 + i % 8) if use_material else None)
-        try:
-            futures.append(service.submit(request))
-        except ServeError as err:
-            rejected += 1
-            print(f"  rejected: {err}")
-    completed = failed = 0
-    for fut in futures:
-        try:
-            fut.result(timeout=60.0)
-            completed += 1
-        except ServeError as err:
-            failed += 1
-            print(f"  failed: {err}")
-    stats = service.stats()
-    service.close()
-    counts = stats["counts"]
-    print(f"served {completed} ok, {failed} failed, {rejected} rejected "
-          f"({counts['cache_hits']} cache hit(s), "
-          f"{counts['worker_respawns']} respawn(s), "
-          f"breaker {stats['breaker']['state']})")
-    if session is not None:
-        session.finish(summary={"completed": completed, "failed": failed,
-                                "rejected": rejected,
-                                "counts": counts})
-        print(f"telemetry written to {session.telemetry_path.parent}")
-    return 0
+    completed = failed = rejected = lost = 0
+    try:
+        for i in range(args.requests):
+            request = RolloutRequest(
+                seed_frames=seed, num_steps=args.num_steps,
+                material=float(20 + i % 8) if use_material else None)
+            try:
+                futures.append(service.submit(request))
+            except ServeError as err:
+                rejected += 1
+                print(f"  rejected: {err}")
+        for i, fut in enumerate(futures):
+            try:
+                fut.result(timeout=SERVE_RESULT_TIMEOUT)
+                completed += 1
+            except ServeError as err:
+                failed += 1
+                print(f"  failed: {err}")
+            except concurrent.futures.TimeoutError:
+                lost += 1
+                print(f"  lost: admitted request {i} has no result after "
+                      f"{SERVE_RESULT_TIMEOUT:g} s")
+    finally:
+        stats = service.stats()
+        service.close()
+        counts = stats["counts"]
+        print(f"served {completed} ok, {failed} failed, {rejected} rejected, "
+              f"{lost} lost ({counts['cache_hits']} cache hit(s), "
+              f"{counts['worker_respawns']} respawn(s), "
+              f"breaker {stats['breaker']['state']})")
+        if session is not None:
+            session.finish(summary={"completed": completed, "failed": failed,
+                                    "rejected": rejected, "lost": lost,
+                                    "counts": counts})
+            print(f"telemetry written to {session.telemetry_path.parent}")
+    return 1 if lost else 0
 
 
 def _cmd_lint(args) -> int:

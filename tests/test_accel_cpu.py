@@ -411,3 +411,237 @@ class TestMpmStress:
         with pytest.raises(ValueError):
             kern.mpm_stress(ids, 1, *args, strain, spin,
                             sig.reshape(8, 4), szz)
+
+
+# quiet NaNs of both signs, one with a payload; the other specials
+_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                  0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+_SPECIALS = np.concatenate([_NANS, [0.0, -0.0, np.inf, -np.inf, 5e-324,
+                                    -5e-324, 2.5e-310, -1e-308]])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _seeded(shape, rng, specials=True) -> np.ndarray:
+    """Normal float64 values; with ``specials`` about a third of them
+    are replaced by ±0.0, NaNs, ±inf and subnormals."""
+    a = rng.normal(size=shape)
+    if specials:
+        flat = a.reshape(-1)
+        where = rng.random(flat.size) < 0.35
+        flat[where] = rng.choice(_SPECIALS, size=int(where.sum()))
+    return a
+
+
+class TestTapeKernels:
+    """The float64 tape kernels against the NumPy expressions they
+    replace, compared as bit patterns. Special values go into one input
+    per case, so a result never depends on which of two NaN operands an
+    addition or product returns (IEEE leaves that open, and a compiler
+    may swap the operands of either)."""
+
+    E, N, W = 37, 9, 13
+
+    @staticmethod
+    def _check(got, expect):
+        assert got.dtype == expect.dtype == np.float64
+        np.testing.assert_array_equal(_bits(got), _bits(expect))
+
+    def test_relu_zero_sign_and_nan(self):
+        kern = _kernels()
+        h = np.array([-0.0, 0.0, -1.0, 1.0, np.inf, -np.inf, 5e-324,
+                      -5e-324, *_NANS])
+        expect = np.maximum(h, 0.0)
+        kern.relu64(h)
+        self._check(h, expect)
+        # -0.0 becomes +0.0, as np.maximum gives it
+        assert _bits(h)[0] == 0
+        assert _bits(h[-3:]).tolist() == _bits(_NANS).tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relu(self, seed):
+        kern = _kernels()
+        h = _seeded((self.E, self.W), np.random.default_rng(seed))
+        expect = np.maximum(h, 0.0)
+        kern.relu64(h)
+        self._check(h, expect)
+
+    @pytest.mark.parametrize("special", ["h", "bias"])
+    def test_bias_relu(self, special):
+        kern = _kernels()
+        rng = np.random.default_rng(11)
+        h = _seeded((self.E, self.W), rng, special == "h")
+        bias = _seeded(self.W, rng, special == "bias")
+        h[0, 0] = bias[0] = -0.0  # -0.0 + -0.0, then the ReLU's +0.0
+        expect = h.copy()
+        expect += bias
+        np.maximum(expect, 0.0, out=expect)
+        kern.bias_relu64(h, bias)
+        self._check(h, expect)
+
+    @pytest.mark.parametrize("special", ["h", "proj_s", "proj_r"])
+    def test_gather2_add_relu(self, special):
+        kern = _kernels()
+        rng = np.random.default_rng(12)
+        e, n, w = self.E, self.N, self.W
+        senders = rng.integers(0, n, size=e)
+        receivers = rng.integers(0, n, size=e)
+        h = _seeded((e, w), rng, special == "h")
+        ps = _seeded((n, w), rng, special == "proj_s")
+        pr = _seeded((n, w), rng, special == "proj_r")
+        h[0, 0] = ps[senders[0], 0] = pr[receivers[0], 0] = -0.0
+        expect = h.copy()
+        expect += ps.take(senders, axis=0)
+        expect += pr.take(receivers, axis=0)
+        np.maximum(expect, 0.0, out=expect)
+        kern.gather2_add_relu64(h, ps, pr, senders, receivers)
+        self._check(h, expect)
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_gather2_index_outside_raises_before_writing(self, bad):
+        kern = _kernels()
+        rng = np.random.default_rng(13)
+        h = rng.normal(size=(4, 3))
+        before = h.copy()
+        senders = np.array([0, 1, 2, 3])
+        receivers = np.array([0, 1, bad, 3])
+        ps, pr = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+        with pytest.raises(IndexError, match="edge 2"):
+            kern.gather2_add_relu64(h, ps, pr, senders, receivers)
+        self._check(h, before)
+
+    @pytest.mark.parametrize("special", ["xhat", "inv", "gamma", "beta"])
+    def test_ln_affine(self, special):
+        kern = _kernels()
+        rng = np.random.default_rng(14)
+        c = _seeded((self.E, self.W), rng, special == "xhat")
+        inv = _seeded(self.E, rng, special == "inv")
+        gamma = _seeded(self.W, rng, special == "gamma")
+        beta = _seeded(self.W, rng, special == "beta")
+        xhat = c.copy()
+        xhat *= inv[:, None]
+        expect = xhat * gamma
+        expect += beta
+        out = np.empty_like(c)
+        assert kern.ln_affine64(c, inv, gamma, beta, out) is out
+        self._check(c, xhat)
+        self._check(out, expect)
+
+    @pytest.mark.parametrize("special", ["g", "xhat", "m1", "m2", "inv"])
+    def test_ln_vjp(self, special):
+        kern = _kernels()
+        rng = np.random.default_rng(15)
+        g = _seeded((self.E, self.W), rng, special == "g")
+        xhat = _seeded((self.E, self.W), rng, special == "xhat")
+        m1, m2, inv = (_seeded(self.E, rng, special == name)
+                       for name in ("m1", "m2", "inv"))
+        expect = g.copy()
+        expect -= m1[:, None]
+        expect -= xhat * m2[:, None]
+        expect *= inv[:, None]
+        kern.ln_vjp64(g, xhat, m1, m2, inv)
+        self._check(g, expect)
+
+    @pytest.mark.parametrize("special", ["g", "act"])
+    def test_relu_mask(self, special):
+        kern = _kernels()
+        rng = np.random.default_rng(16)
+        g = _seeded((self.E, self.W), rng, special == "g")
+        act = _seeded((self.E, self.W), rng, special == "act")
+        with np.errstate(invalid="ignore"):  # inf · 0 is NaN on both sides
+            expect = g * (act > 0)
+        kern.relu_mask64(g, act)
+        self._check(g, expect)
+        # -x * 0.0 keeps its sign: the kernel multiplies, not selects
+        h = np.array([-2.0, 3.0])
+        kern.relu_mask64(h, np.array([-1.0, 0.0]))
+        assert _bits(h).tolist() == _bits(np.array([-0.0, 0.0])).tolist()
+
+    @staticmethod
+    def _segment_values(e, w, rng):
+        """Special values with at most one NaN and one sign of infinity
+        per column, so no segment adds two NaNs or inf − inf."""
+        v = _seeded((e, w), rng, specials=False)
+        if e:
+            for j in range(w):
+                v[rng.integers(e), j] = _NANS[j % len(_NANS)]
+                v[rng.integers(e), j] = np.inf if j % 2 else -np.inf
+                v[rng.integers(e), j] = -0.0
+                v[rng.integers(e), j] = 5e-324
+        return v
+
+    @pytest.mark.parametrize("case", [
+        "sorted", "unsorted", "empty-segments", "zero-edges", "width-1"])
+    def test_segment_sum(self, case):
+        from repro.autodiff import SortedSegments
+
+        kern = _kernels()
+        rng = np.random.default_rng(17)
+        e, n, w = {"zero-edges": (0, 5, 4), "width-1": (40, 7, 1)}.get(
+            case, (60, 11, 6))
+        if case == "empty-segments":
+            index = np.sort(rng.choice([1, 4, 5, 9], size=e))
+        else:
+            index = rng.integers(0, n, size=e)
+            if case != "unsorted":
+                index = np.sort(index)
+        plan = SortedSegments(index, n)
+        assert (plan.order is not None) == (case == "unsorted")
+        values = self._segment_values(e, w, rng)
+        if e:
+            # a segment holding only -0.0 sums to +0.0, as the CSR
+            # product's zero-initialised output gives it
+            values[np.flatnonzero(index == index[0]), 0] = -0.0
+        expect = np.asarray(plan.matrix(np.float64) @ values)
+        out = np.full((n, w), np.nan)
+        kern.segment_sum64(values, plan.indptr, plan.order, out)
+        self._check(out, expect)
+        if e:
+            assert _bits(out[index[0], :1]).tolist() == [0]
+
+    def test_rejects_float32_strided_and_misshaped(self):
+        kern = _kernels()
+        rng = np.random.default_rng(18)
+        h = rng.normal(size=(6, 4))
+        vec = rng.normal(size=6)
+        with pytest.raises(TypeError):
+            kern.relu64(h.astype(np.float32))
+        with pytest.raises(TypeError):
+            kern.relu64(rng.normal(size=(6, 8))[:, ::2])
+        with pytest.raises(TypeError):
+            kern.bias_relu64(h, rng.normal(size=8)[::2])
+        with pytest.raises(ValueError):
+            kern.bias_relu64(h, rng.normal(size=5))
+        with pytest.raises(TypeError):
+            kern.relu_mask64(h, h.astype(np.float32))
+        with pytest.raises(ValueError):
+            kern.relu_mask64(h, h[:5])
+        with pytest.raises(ValueError):
+            kern.ln_affine64(h, vec[:5], vec[:4], vec[:4], np.empty_like(h))
+        with pytest.raises(TypeError):
+            kern.ln_affine64(h, vec, vec[:4], vec[:4],
+                             np.empty((4, 6)).T)
+        with pytest.raises(ValueError):
+            kern.ln_vjp64(h, np.ones((6, 3)), vec, vec, vec)
+        with pytest.raises(TypeError):
+            kern.ln_vjp64(h, h, vec.astype(np.float32), vec, vec)
+        senders = np.array([0, 1, 2, 0, 1, 2])
+        ps = rng.normal(size=(3, 4))
+        with pytest.raises(TypeError):
+            kern.gather2_add_relu64(h, ps, ps, senders.astype(np.int32),
+                                    senders)
+        with pytest.raises(ValueError):
+            kern.gather2_add_relu64(h, ps, np.ones((3, 3)), senders,
+                                    senders)
+        indptr = np.array([0, 2, 6], dtype=np.int64)
+        out = np.empty((2, 4))
+        with pytest.raises(TypeError):
+            kern.segment_sum64(h.astype(np.float32), indptr, None, out)
+        with pytest.raises(ValueError):
+            kern.segment_sum64(h, np.array([0, 2, 5]), None, out)
+        with pytest.raises(ValueError):
+            kern.segment_sum64(h, indptr, np.arange(5), out)
+        with pytest.raises(ValueError):
+            kern.segment_sum64(h, indptr, None, np.empty((2, 3)))

@@ -5,7 +5,8 @@ every call), then ``accel``; every other name fails loudly. Engines pick
 the switch up per call of ``LearnedSimulator.engine`` and rebuild when
 it changes. ``TestDispatch`` checks that the switch governs what runs,
 not only what a handle reports: it counts compiled-kernel calls for
-every environment × keyword pair.
+every environment × keyword pair, and for the float64 tape (a
+training step and an inverse-problem φ-gradient) every environment.
 """
 
 from __future__ import annotations
@@ -14,8 +15,12 @@ import numpy as np
 import pytest
 
 from repro.accel import CpuKernels, build_error, kernels, toolchain_missing
+from repro.autodiff import Tensor
 from repro.backend import DEFAULT_BACKEND, UnknownBackendError, get_backend
-from repro.gns import FeatureConfig, GNSNetworkConfig, LearnedSimulator, Stats
+from repro.data import Trajectory
+from repro.gns import (FeatureConfig, GNSNetworkConfig, GNSTrainer,
+                       LearnedSimulator, Stats, TrainingConfig)
+from repro.inverse import RunoutInverseProblem
 from repro.mpm import MPMSolver, granular_column_collapse
 
 
@@ -164,12 +169,45 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kwarg", [None, "accel", "numpy"],
-                         ids=["kwarg-none", "kwarg-accel", "kwarg-numpy"])
-@pytest.mark.parametrize("env", [None, "numpy", "accel"],
-                         ids=["env-unset", "env-numpy", "env-accel"])
+_KWARGS = pytest.mark.parametrize(
+    "kwarg", [None, "accel", "numpy"],
+    ids=["kwarg-none", "kwarg-accel", "kwarg-numpy"])
+_ENVS = pytest.mark.parametrize(
+    "env", [None, "numpy", "accel"],
+    ids=["env-unset", "env-numpy", "env-accel"])
+
+
+def _train_step() -> list[np.ndarray]:
+    """Loss and weight gradients of one float64 training step."""
+    sim = make_sim()
+    rng = np.random.default_rng(4)
+    frames = [rng.uniform(0.3, 0.7, size=(24, 2))]
+    for _ in range(7):
+        frames.append(frames[-1] + rng.normal(0, 5e-4, size=(24, 2)))
+    traj = Trajectory(positions=np.stack(frames), dt=1.0, material=30.0,
+                      bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
+    trainer = GNSTrainer(sim, [traj], TrainingConfig(batch_size=2, seed=3))
+    loss = trainer.train_step()
+    return [np.array(loss)] + [p.grad for p in sim.parameters()]
+
+
+def _phi_gradient() -> list[np.ndarray]:
+    """Loss and φ-gradient of a pruned backward through a 3-step
+    float64 inverse-problem tape."""
+    sim = make_sim()
+    problem = RunoutInverseProblem(sim, make_seed(sim), target_runout=0.05,
+                                   toe_x=0.6, rollout_steps=3)
+    phi = Tensor(np.array(30.0), requires_grad=True)
+    loss = problem.loss(phi)
+    loss.backward(inputs=[phi])
+    return [loss.data, phi.grad]
+
+
 class TestDispatch:
-    """The kernels run exactly when the resolved switch is ``accel``."""
+    """The kernels run exactly when the resolved switch is ``accel``.
+    The float64 tape takes no ``backend=`` keyword: it follows
+    ``REPRO_BACKEND``, and its results are bitwise-equal to the
+    ``numpy`` leg's."""
 
     @staticmethod
     def _set_env(monkeypatch, env, kwarg) -> bool:
@@ -178,6 +216,27 @@ class TestDispatch:
             monkeypatch.setenv("REPRO_BACKEND", env)
         return (kwarg or env or "accel") == "accel"
 
+    @pytest.mark.parametrize("run", [_train_step, _phi_gradient],
+                             ids=["train-step", "phi-gradient"])
+    @_ENVS
+    def test_float64_tape(self, monkeypatch, kernel_calls, env, run):
+        expect = self._set_env(monkeypatch, env, None)
+        got = run()
+        assert (kernel_calls["n"] > 0) == expect, kernel_calls
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        before = kernel_calls["n"]
+        reference = run()
+        assert kernel_calls["n"] == before
+        assert np.all(np.isfinite(reference[-1]))
+        assert np.any(reference[-1] != 0.0)
+        assert len(got) == len(reference)
+        for a, b in zip(got, reference):
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_array_equal(a.view(np.int64),
+                                          b.view(np.int64))
+
+    @_KWARGS
+    @_ENVS
     def test_float32_rollout(self, monkeypatch, kernel_calls, env, kwarg):
         expect = self._set_env(monkeypatch, env, kwarg)
         sim = make_sim()
@@ -185,6 +244,8 @@ class TestDispatch:
                     backend=kwarg)
         assert (kernel_calls["n"] > 0) == expect, kernel_calls
 
+    @_KWARGS
+    @_ENVS
     def test_mpm_step(self, monkeypatch, kernel_calls, env, kwarg):
         expect = self._set_env(monkeypatch, env, kwarg)
         s = granular_column_collapse(cells_per_unit=8).solver

@@ -254,6 +254,40 @@ class TestServe:
         assert observed.get("gns.step_seconds", 0) > 0
         capsys.readouterr()
 
+    def test_lost_request_keeps_telemetry(self, tmp_path, capsys,
+                                          monkeypatch):
+        """A request whose future never resolves counts as lost: the run
+        still closes the service and writes its telemetry, and exits 1."""
+        import concurrent.futures
+        import importlib
+        import json
+
+        from repro.serve import SimulationService
+
+        submit = SimulationService.submit
+        calls = {"n": 0}
+
+        def submit_one_lost(self, request):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                return concurrent.futures.Future()  # never resolved
+            return submit(self, request)
+
+        monkeypatch.setattr(SimulationService, "submit", submit_one_lost)
+        monkeypatch.setattr(importlib.import_module("repro.cli.main"),
+                            "SERVE_RESULT_TIMEOUT", 0.2)
+        tele = tmp_path / "tele-lost"
+        rc = main(["serve", "run", "--requests", "4",
+                   "--telemetry", str(tele)])
+        assert rc == 1
+        assert (tele / "telemetry.jsonl").stat().st_size > 0
+        manifest = json.loads((tele / "manifest.json").read_text())
+        assert manifest["summary"]["lost"] == 1
+        assert manifest["summary"]["completed"] == 3
+        out = capsys.readouterr().out
+        assert "lost: admitted request 2" in out
+        assert "3 ok, 0 failed, 0 rejected, 1 lost" in out
+
     def test_bench_is_not_an_action(self, capsys):
         # benchmarks/suite/run.py's serve-nocache is the serving benchmark
         with pytest.raises(SystemExit) as exc:
