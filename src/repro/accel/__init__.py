@@ -8,8 +8,9 @@ never a requirement. See :mod:`repro.accel.cpu`.
 """
 
 from .cpu import (
-    CpuKernels, available, build_error, kernels, toolchain_missing,
+    CpuKernels, EdgePassWeights, available, build_error, edge_pass_weights,
+    kernels, toolchain_missing,
 )
 
-__all__ = ["CpuKernels", "available", "build_error", "kernels",
-           "toolchain_missing"]
+__all__ = ["CpuKernels", "EdgePassWeights", "available", "build_error",
+           "edge_pass_weights", "kernels", "toolchain_missing"]

@@ -2,11 +2,15 @@
 
 Three consumers share one library:
 
-* The float32 inference fast path (``InferenceEngine(dtype=np.float32)``)
-  spends its time in BLAS sgemm calls, which are already optimal, and in
-  memory-bound elementwise glue (bias + ReLU, LayerNorm, gather-add,
-  segment-sum) where NumPy pays one full pass over the array per ufunc.
-  The float32 kernels fuse that glue into single-pass loops.
+* The float32 inference fast path (``InferenceEngine(dtype=np.float32)``).
+  Its processor's edge side, the largest share of a step, runs as one
+  fused pass per message-passing block (``edge_pass``): tiles of edges
+  go from the gathered first layer through every GEMM, ReLU and
+  LayerNorm to the aggregation and the edge residual in registers and
+  L1, with no edge-sized intermediate in memory. Node-sized work stays
+  on BLAS sgemm, and the node MLPs, encoders and decoder use the
+  single-pass glue kernels (bias + ReLU, LayerNorm) between their sgemm
+  calls, where NumPy pays one full pass over the array per ufunc.
 * The 2-D MPM step (:class:`repro.mpm.MPMSolver`) runs its shape
   evaluation, particle-to-grid scatter, grid update, grid-to-particle
   gather and the elastic and Drucker–Prager stress updates as float64
@@ -46,11 +50,22 @@ Numerics
 --------
 Three translation units with different flag sets:
 
-* strict IEEE (``relu``/``bias_relu``/``gather2_add_relu``/``segment_sum``):
-  plain ``-O3``; ReLU uses ``v > 0 ? v : 0*v`` so NaNs propagate exactly
-  like ``np.maximum`` (the ``0*v`` keeps NaN; only the sign of zero can
-  differ from NumPy, which compares equal).  The segment sum accumulates
-  rows in edge order — the same order as the CSR matmul it replaces.
+* strict IEEE (``relu``/``bias_relu``/``segment_sum``/``edge_pass``):
+  plain ``-O3``, no reassociation; ReLU uses ``v > 0 ? v : 0*v`` so NaNs
+  propagate exactly like ``np.maximum`` (the ``0*v`` keeps NaN; only the
+  sign of zero can differ from NumPy, which compares equal).  The
+  segment sum accumulates rows in edge order — the same order as the
+  CSR matmul it replaces.  The edge pass contracts its GEMMs into fused
+  multiply-adds (the compiler's default) and sums LayerNorm's
+  statistics in its own vector tree, so it is held to the float32 drift
+  contract, not to NumPy's bits. It is deterministic all the same:
+  without reassociation every edge row runs the same arithmetic
+  whatever its tile, and the aggregation adds messages in edge order
+  (for receiver-sorted edges, the order of the CSR segment sum), so a
+  graph gives the same bits alone and inside a block-diagonal batch.
+  Latent and hidden widths are padded to 16, 32, 64 or 128 lanes, each
+  with its own register-blocked path (wider MLPs take the generic
+  path); the vectors are 16 lanes wide with AVX-512 and 8 otherwise.
 * reassociation-enabled (``ln``/``bias_ln``): ``-fassociative-math`` and
   friends, required for the compiler to vectorize the float reductions in
   LayerNorm (4x faster than NumPy's multi-pass version).  NaNs still
@@ -92,7 +107,9 @@ every product and sum on its own, in that expression's order:
   unsorted), as scipy's ``csr_matvecs`` does with unit weights.
 
 The float32 kernels require C-contiguous float32 arrays and int64
-indices, the float64 kernels C-contiguous float64 arrays; the wrappers
+indices (``edge_pass`` also takes its weights from
+:func:`edge_pass_weights`), the float64 kernels C-contiguous float64
+arrays; the wrappers
 validate this and raise rather than fall back, because a silent copy
 would hide the performance bug the caller is trying to avoid.
 """
@@ -107,25 +124,28 @@ import os
 import shutil
 import subprocess
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["CpuKernels", "available", "build_error", "kernels",
-           "toolchain_missing"]
+__all__ = ["CpuKernels", "EdgePassWeights", "available", "build_error",
+           "edge_pass_weights", "kernels", "toolchain_missing"]
 
 _CDEF = """
 void repro_relu32(float* h, long long n);
 void repro_bias_relu32(float* h, long long n, long long w, const float* bias);
-void repro_gather2_add_relu32(float* h, long long e, long long w,
-                              const float* ps, const float* pr,
-                              const long long* senders,
-                              const long long* receivers, int relu);
 void repro_segsum32(const float* msgs, long long w, const long long* indptr,
                     long long n, float* out);
 void repro_ln32(float* h, long long n, long long w, const float* gamma,
                 const float* beta, float eps);
 void repro_bias_ln32(float* h, long long n, long long w, const float* bias,
                      const float* gamma, const float* beta, float eps);
+long long repro_edge_pass32(long long e, long long n, long long l,
+                            long long hd, long long depth, int nvl, int nvh,
+                            float* edges, const float* ps, const float* pr,
+                            const long long* senders,
+                            const long long* receivers, const float* pack,
+                            float eps, int residual, float* agg);
 long long repro_mpm_shape64(int quadratic, const double* pos, long long n,
                             double h, long long nx, long long ny,
                             long long* nodes, double* w, double* dw);
@@ -170,11 +190,15 @@ void repro_segsum64(const double* v, long long w, const long long* indptr,
                     const long long* order, long long n, double* out);
 """
 
-# Translation unit 1: strict IEEE semantics (no reassociation). The ReLU
-# branches multiply by zero instead of loading a zero constant so that a
-# NaN input stays NaN, matching np.maximum(h, 0).
+# Translation unit 1: no reassociation. The ReLU branches multiply by
+# zero instead of loading a zero constant so that a NaN input stays NaN,
+# matching np.maximum(h, 0). The fused edge pass lives here too: the
+# compiler keeps each row's operation order, so every edge row runs the
+# same arithmetic whatever its tile (with -fassociative-math an AVX2
+# build re-associated some rows of a tile differently from others).
 _SRC_STRICT = r"""
 #include <stdint.h>
+#include <math.h>
 
 typedef long long i64;
 
@@ -198,29 +222,6 @@ void repro_bias_relu32(float* restrict h, i64 n, i64 w,
     }
 }
 
-void repro_gather2_add_relu32(float* restrict h, i64 e, i64 w,
-                              const float* restrict ps,
-                              const float* restrict pr,
-                              const i64* restrict senders,
-                              const i64* restrict receivers, int relu)
-{
-    for (i64 i = 0; i < e; i++) {
-        float* row = h + i * w;
-        const float* s = ps + senders[i] * w;
-        const float* r = pr + receivers[i] * w;
-        if (relu) {
-            for (i64 j = 0; j < w; j++) {
-                float v = row[j] + s[j] + r[j];
-                row[j] = v > 0.0f ? v : 0.0f * v;
-            }
-        } else {
-            /* left-associated like the NumPy reference (h + s) + r */
-            for (i64 j = 0; j < w; j++)
-                row[j] = row[j] + s[j] + r[j];
-        }
-    }
-}
-
 /* Rows of a segment accumulate in edge order: identical order to the CSR
  * matmul (scipy csr_matrix @ dense walks column indices sequentially per
  * output row), so the result is bitwise-equal to the NumPy plan path. */
@@ -237,6 +238,274 @@ void repro_segsum32(const float* restrict msgs, i64 w,
                 o[j] += m[j];
         }
     }
+}
+
+/* The edge side of one interaction-network block in one pass over tiles
+ * of EP_TILE edges, kept in registers and L1: the split first layer
+ * (gathered ps[s] + pr[r], plus edges @ W_e), ReLU, each hidden layer
+ * (GEMM, bias, ReLU), the last GEMM with its bias, LayerNorm, then
+ * agg[receiver] += message in edge order and, with residual,
+ * edges += message. Widths are padded to 16, 32, 64 or 128 lanes
+ * (latent to pl, hidden to ph); the padded weight columns and biases
+ * are zero, so padded lanes hold exact zeros up to the LayerNorm, whose
+ * variance the mask restricts to the l true lanes. The GEMM loops run
+ * over the true widths. Every row runs the same instructions whatever
+ * its tile or slot, so a row's message does not depend on the other
+ * edges.
+ *
+ * Vectors are the target's widest: 16 lanes with AVX-512, whose 32
+ * registers hold EP_TILE x 2 accumulators, else 8 lanes and EP_TILE x 1
+ * accumulators (16-lane vectors lowered onto AVX2's 16 registers ran
+ * about 50x slower). */
+#define EP_TILE 8
+#ifdef __AVX512F__
+#define EP_LANES 16
+#define EP_CB 2
+#else
+#define EP_LANES 8
+#define EP_CB 1
+#endif
+#define EP_INLINE static inline __attribute__((always_inline))
+
+typedef float vf __attribute__((vector_size(EP_LANES * 4)));
+typedef float vfu __attribute__((vector_size(EP_LANES * 4), aligned(4),
+                                 may_alias));
+typedef int vfi __attribute__((vector_size(EP_LANES * 4)));
+typedef unsigned long long u64;
+
+EP_INLINE vf ep_ld(const float* p) { return *(const vfu*)p; }
+EP_INLINE void ep_st(float* p, vf v) { *(vfu*)p = v; }
+
+/* max(v, 0) with NaN passing through (v <= 0 is false for NaN) */
+EP_INLINE vf ep_relu(vf v)
+{
+    const vf zero = {0};
+    vfi drop = v <= zero;
+    return (vf)((vfi)v & ~drop);
+}
+
+/* out[t] = the sum of x[t]'s lanes for the tile's rows, added in one
+ * tree (lane j with j + EP_LANES/2, then j + EP_LANES/4, ...) that is
+ * the same for every row: each level adds the halves of two rows'
+ * partial sums side by side. */
+EP_INLINE void ep_rowsums(const vf x[EP_TILE], float out[EP_TILE])
+{
+#if EP_LANES == 16
+    const vfi lo = {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23};
+    const vfi hi = {8, 9, 10, 11, 12, 13, 14, 15,
+                    24, 25, 26, 27, 28, 29, 30, 31};
+    const vfi lo2 = {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27};
+    const vfi hi2 = {4, 5, 6, 7, 12, 13, 14, 15,
+                     20, 21, 22, 23, 28, 29, 30, 31};
+    const vfi lo4 = {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29};
+    const vfi hi4 = {2, 3, 6, 7, 10, 11, 14, 15,
+                     18, 19, 22, 23, 26, 27, 30, 31};
+    vf a[4], b[2];
+    for (int i = 0; i < 4; i++)
+        a[i] = __builtin_shuffle(x[2 * i], x[2 * i + 1], lo)
+               + __builtin_shuffle(x[2 * i], x[2 * i + 1], hi);
+    for (int i = 0; i < 2; i++)
+        b[i] = __builtin_shuffle(a[2 * i], a[2 * i + 1], lo2)
+               + __builtin_shuffle(a[2 * i], a[2 * i + 1], hi2);
+    const vf c = __builtin_shuffle(b[0], b[1], lo4)
+                 + __builtin_shuffle(b[0], b[1], hi4);
+    for (int t = 0; t < EP_TILE; t++)
+        out[t] = c[2 * t] + c[2 * t + 1];
+#else
+    const vfi lo2 = {0, 1, 2, 3, 8, 9, 10, 11};
+    const vfi hi2 = {4, 5, 6, 7, 12, 13, 14, 15};
+    const vfi lo4 = {0, 1, 4, 5, 8, 9, 12, 13};
+    const vfi hi4 = {2, 3, 6, 7, 10, 11, 14, 15};
+    vf b[4];
+    for (int i = 0; i < 4; i++)
+        b[i] = __builtin_shuffle(x[2 * i], x[2 * i + 1], lo2)
+               + __builtin_shuffle(x[2 * i], x[2 * i + 1], hi2);
+    for (int i = 0; i < 2; i++) {
+        const vf c = __builtin_shuffle(b[2 * i], b[2 * i + 1], lo4)
+                     + __builtin_shuffle(b[2 * i], b[2 * i + 1], hi4);
+        for (int t = 0; t < 4; t++)
+            out[4 * i + t] = c[2 * t] + c[2 * t + 1];
+    }
+#endif
+}
+
+/* y[t] = init[t] + x[t][0:k] @ w[0:k] for the tile's rows, optionally
+ * ReLU'd: init is bias for every row, or y itself when bias is NULL.
+ * x rows are ldx apart, w and y rows nv vectors. EP_CB output vectors
+ * per pass keep EP_TILE x EP_CB accumulators in registers. */
+EP_INLINE void ep_gemm(const int nv, const float* restrict x, i64 ldx, i64 k,
+                       const float* restrict w, const float* restrict bias,
+                       const int relu, float* restrict y)
+{
+    const int cb = nv < EP_CB ? nv : EP_CB;
+    const i64 row = nv * EP_LANES;
+    for (int c0 = 0; c0 < nv; c0 += cb) {
+        vf acc[EP_TILE][EP_CB];
+        for (int t = 0; t < EP_TILE; t++)
+            for (int c = 0; c < cb; c++)
+                acc[t][c] = ep_ld((bias ? bias : y + t * row)
+                                  + (c0 + c) * EP_LANES);
+        for (i64 q = 0; q < k; q++) {
+            vf wv[EP_CB];
+            for (int c = 0; c < cb; c++)
+                wv[c] = ep_ld(w + q * row + (c0 + c) * EP_LANES);
+            for (int t = 0; t < EP_TILE; t++) {
+                const float xv = x[t * ldx + q];
+                for (int c = 0; c < cb; c++)
+                    acc[t][c] += xv * wv[c];
+            }
+        }
+        for (int t = 0; t < EP_TILE; t++)
+            for (int c = 0; c < cb; c++)
+                ep_st(y + t * row + (c0 + c) * EP_LANES,
+                      relu ? ep_relu(acc[t][c]) : acc[t][c]);
+    }
+}
+
+/* LayerNorm of the tile's padded rows (nv vectors each) over their l
+ * true lanes, with the row statistics of all EP_TILE rows reduced
+ * together */
+EP_INLINE void ep_ln(const int nv, float* restrict o, i64 l,
+                     const float* restrict gamma, const float* restrict beta,
+                     const float* restrict mask, float eps)
+{
+    vf part[EP_TILE];
+    float mu[EP_TILE], var[EP_TILE];
+    for (int t = 0; t < EP_TILE; t++) {
+        vf s = ep_ld(o + t * nv * EP_LANES);
+        for (int c = 1; c < nv; c++)
+            s += ep_ld(o + (t * nv + c) * EP_LANES);
+        part[t] = s;
+    }
+    ep_rowsums(part, mu);
+    for (int t = 0; t < EP_TILE; t++) {
+        mu[t] /= (float)l;
+        vf q = {0};
+        for (int c = 0; c < nv; c++) {
+            vf d = (ep_ld(o + (t * nv + c) * EP_LANES) - mu[t])
+                   * ep_ld(mask + c * EP_LANES);
+            q += d * d;
+        }
+        part[t] = q;
+    }
+    ep_rowsums(part, var);
+    for (int t = 0; t < EP_TILE; t++) {
+        const float inv = 1.0f / sqrtf(var[t] / (float)l + eps);
+        for (int c = 0; c < nv; c++) {
+            float* p = o + (t * nv + c) * EP_LANES;
+            ep_st(p, (ep_ld(p) - mu[t]) * inv * ep_ld(gamma + c * EP_LANES)
+                     + ep_ld(beta + c * EP_LANES));
+        }
+    }
+}
+
+/* pack: W_e (l x ph), the depth-2 hidden W (hd x ph each), W_last
+ * (hd x pl), the hidden biases (ph each), b_last, gamma, beta and the
+ * LayerNorm mask (pl each), all row-major and zero-padded; nvl and nvh
+ * count vectors of EP_LANES */
+EP_INLINE void ep_run(const int nvl, const int nvh, i64 e, i64 l, i64 hd,
+                      i64 depth, float* restrict edges,
+                      const float* restrict ps, const float* restrict pr,
+                      const i64* restrict senders,
+                      const i64* restrict receivers,
+                      const float* restrict pack, float eps, int residual,
+                      float* restrict agg)
+{
+    const i64 pl = nvl * EP_LANES, ph = nvh * EP_LANES;
+    const float* w_edge = pack;
+    const float* w_hid = w_edge + l * ph;
+    const float* w_out = w_hid + (depth - 2) * hd * ph;
+    const float* b_hid = w_out + hd * pl;
+    const float* b_out = b_hid + (depth - 2) * ph;
+    const float* gamma = b_out + pl;
+    const float* beta = gamma + pl;
+    const float* mask = beta + pl;
+    float xt[EP_TILE * 128] __attribute__((aligned(64)));
+    float ha[EP_TILE * 128] __attribute__((aligned(64)));
+    float hb[EP_TILE * 128] __attribute__((aligned(64)));
+    float out[EP_TILE * 128] __attribute__((aligned(64)));
+    const vf zero = {0};
+    for (i64 e0 = 0; e0 < e; e0 += EP_TILE) {
+        const i64 cnt = e - e0 < EP_TILE ? e - e0 : EP_TILE;
+        const float* x = edges + e0 * l;
+        if (cnt < EP_TILE) {
+            /* the last tile: zero rows stand in for the missing edges */
+            for (i64 j = 0; j < EP_TILE * l; j++)
+                xt[j] = j < cnt * l ? x[j] : 0.0f;
+            x = xt;
+        }
+        for (i64 t = 0; t < EP_TILE; t++) {
+            float* row = ha + t * ph;
+            if (t < cnt) {
+                const float* s = ps + senders[e0 + t] * ph;
+                const float* r = pr + receivers[e0 + t] * ph;
+                for (int c = 0; c < nvh; c++)
+                    ep_st(row + c * EP_LANES, ep_ld(s + c * EP_LANES)
+                                              + ep_ld(r + c * EP_LANES));
+            } else {
+                for (int c = 0; c < nvh; c++)
+                    ep_st(row + c * EP_LANES, zero);
+            }
+        }
+        ep_gemm(nvh, x, l, l, w_edge, 0, 1, ha);
+        float* h = ha;
+        float* g = hb;
+        for (i64 k = 0; k < depth - 2; k++) {
+            ep_gemm(nvh, h, ph, hd, w_hid + k * hd * ph, b_hid + k * ph, 1, g);
+            float* tmp = h;
+            h = g;
+            g = tmp;
+        }
+        ep_gemm(nvl, h, ph, hd, w_out, b_out, 0, out);
+        ep_ln(nvl, out, l, gamma, beta, mask, eps);
+        for (i64 t = 0; t < cnt; t++) {
+            const float* m = out + t * pl;
+            float* a = agg + receivers[e0 + t] * l;
+            float* ed = edges + (e0 + t) * l;
+            i64 j = 0;
+            for (; j + EP_LANES <= l; j += EP_LANES) {
+                const vf v = ep_ld(m + j);
+                ep_st(a + j, ep_ld(a + j) + v);
+                if (residual)
+                    ep_st(ed + j, ep_ld(ed + j) + v);
+            }
+            for (; j < l; j++) {
+                a[j] += m[j];
+                if (residual)
+                    ed[j] += m[j];
+            }
+        }
+    }
+}
+
+/* nvl, nvh: the padded latent and hidden widths in 16-lane units (1, 2,
+ * 4 or 8). Returns -1; the first edge with an index outside [0, n),
+ * checked before agg or edges is written; or -2 for another width. */
+i64 repro_edge_pass32(i64 e, i64 n, i64 l, i64 hd, i64 depth, int nvl,
+                      int nvh, float* restrict edges,
+                      const float* restrict ps, const float* restrict pr,
+                      const i64* restrict senders,
+                      const i64* restrict receivers,
+                      const float* restrict pack, float eps, int residual,
+                      float* restrict agg)
+{
+    for (i64 i = 0; i < e; i++)
+        if ((u64)senders[i] >= (u64)n || (u64)receivers[i] >= (u64)n)
+            return i;
+    for (i64 i = 0; i < n * l; i++)
+        agg[i] = 0.0f;
+#define EP_CASE(a, b) case (a) * 16 + (b): \
+        ep_run((a) * 16 / EP_LANES, (b) * 16 / EP_LANES, e, l, hd, depth, \
+               edges, ps, pr, senders, receivers, pack, eps, residual, agg); \
+        return -1;
+    switch (nvl * 16 + nvh) {
+    EP_CASE(1, 1) EP_CASE(1, 2) EP_CASE(1, 4) EP_CASE(1, 8)
+    EP_CASE(2, 1) EP_CASE(2, 2) EP_CASE(2, 4) EP_CASE(2, 8)
+    EP_CASE(4, 1) EP_CASE(4, 2) EP_CASE(4, 4) EP_CASE(4, 8)
+    EP_CASE(8, 1) EP_CASE(8, 2) EP_CASE(8, 4) EP_CASE(8, 8)
+    }
+#undef EP_CASE
+    return -2;
 }
 """
 
@@ -763,11 +1032,75 @@ def _compile() -> str:
     return so_path
 
 
+#: padded widths of the fused edge pass's register-blocked paths
+_EDGE_LANES = (16, 32, 64, 128)
+
+
+def _lanes(width: int) -> int | None:
+    return next((p for p in _EDGE_LANES if width <= p), None)
+
+
+class EdgePassWeights(NamedTuple):
+    """An edge MLP's float32 weights in :meth:`CpuKernels.edge_pass`'s
+    layout: every width padded with zeros to 16, 32, 64 or 128 lanes,
+    row-major. ``w_send``/``w_recv``/``b0`` are the first layer's node
+    blocks for the sgemm projections; ``pack`` holds the rest, 64-byte
+    aligned."""
+
+    latent: int
+    hidden: int
+    depth: int
+    eps: float
+    w_send: np.ndarray
+    w_recv: np.ndarray
+    b0: np.ndarray
+    pack: np.ndarray
+
+
+def edge_pass_weights(weights, biases, gamma, beta,
+                      eps: float) -> EdgePassWeights | None:
+    """Padded copies of the edge MLP ``weights[0]: (3·L, H) … weights[-1]:
+    (H, L)`` with LayerNorm, or ``None`` when the edge pass does not
+    cover it: no hidden layer, no LayerNorm, or L or H above 128."""
+    depth = len(weights)
+    if depth < 2 or gamma is None:
+        return None
+    lat, hid = weights[-1].shape[1], weights[0].shape[1]
+    pl, ph = _lanes(lat), _lanes(hid)
+    if (pl is None or ph is None or weights[0].shape[0] != 3 * lat
+            or any(w.shape != (hid, hid) for w in weights[1:-1])
+            or weights[-1].shape[0] != hid):
+        return None
+
+    def pad(a, cols):
+        a = np.atleast_2d(a)
+        out = np.zeros((a.shape[0], cols), dtype=np.float32)
+        out[:, :a.shape[1]] = a
+        return out
+
+    parts = ([pad(weights[0][:lat], ph)]
+             + [pad(w, ph) for w in weights[1:-1]]
+             + [pad(weights[-1], pl)]
+             + [pad(b, ph) for b in biases[1:-1]]
+             + [pad(v, pl) for v in (biases[-1], gamma, beta,
+                                     np.ones(lat, dtype=np.float32))])
+    flat = np.concatenate([p.ravel() for p in parts])
+    raw = np.empty(flat.size + 16, dtype=np.float32)
+    start = (-raw.ctypes.data // 4) % 16
+    pack = raw[start:start + flat.size]
+    pack[:] = flat
+    return EdgePassWeights(lat, hid, depth, float(eps),
+                           pad(weights[0][lat:2 * lat], ph),
+                           pad(weights[0][2 * lat:], ph),
+                           pad(biases[0], ph)[0], pack)
+
+
 class CpuKernels:
     """Thin validating wrappers over the compiled kernels.
 
     Every float32 method mutates its first argument in place (except
-    :meth:`segment_sum`, which fills ``out``); the ``mpm_*`` methods fill
+    :meth:`segment_sum`, which fills ``out``, and :meth:`edge_pass`,
+    which fills ``agg`` and adds to ``edges``); the ``mpm_*`` methods fill
     the output arrays they are given, and the ``*64`` tape methods
     mutate their first argument or fill ``out``. Arrays must be
     C-contiguous float32 (float64 for ``mpm_*`` and ``*64``); index
@@ -778,9 +1111,11 @@ class CpuKernels:
         self._ffi = ffi
         self._lib = lib
 
-    def _f32(self, a: np.ndarray):
+    def _f32(self, a: np.ndarray, shape: tuple | None = None):
         if a.dtype != np.float32 or not a.flags.c_contiguous:
             raise TypeError("accel kernels need C-contiguous float32 arrays")
+        if shape is not None and a.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {a.shape}")
         return self._ffi.cast("float *", a.ctypes.data)
 
     def _i64(self, a: np.ndarray, shape: tuple | None = None):
@@ -826,19 +1161,38 @@ class CpuKernels:
                                   self._f32(gamma), self._f32(beta), eps)
         return h
 
-    def gather2_add_relu(self, h: np.ndarray, proj_s: np.ndarray,
-                         proj_r: np.ndarray, senders: np.ndarray,
-                         receivers: np.ndarray, relu: bool = True
-                         ) -> np.ndarray:
-        """In-place ``h += proj_s[senders] + proj_r[receivers]`` with an
-        optional fused ReLU — the edge-MLP first layer in one pass."""
-        e, w = h.shape
-        if proj_s.shape[1] != w or proj_r.shape[1] != w:
-            raise ValueError("projection width mismatch")
-        self._lib.repro_gather2_add_relu32(
-            self._f32(h), e, w, self._f32(proj_s), self._f32(proj_r),
-            self._i64(senders), self._i64(receivers), 1 if relu else 0)
-        return h
+    def edge_pass(self, weights: EdgePassWeights, edges: np.ndarray,
+                  proj_s: np.ndarray, proj_r: np.ndarray,
+                  senders: np.ndarray, receivers: np.ndarray,
+                  agg: np.ndarray, residual: bool) -> np.ndarray:
+        """The edge side of one interaction-network block in one pass:
+        each edge's message ``LN(MLP([e, v_s, v_r]))``, from the first
+        layer's node projections ``proj_s = v @ W_s + b0`` and ``proj_r
+        = v @ W_r`` (``weights.w_send``/``w_recv``/``b0``), is summed
+        into ``agg[receiver]`` in edge order (``agg`` is overwritten)
+        and, with ``residual``, added to ``edges`` in place. Indices
+        outside ``[0, len(agg))`` raise ``IndexError`` before ``agg`` or
+        ``edges`` changes. Returns ``agg``."""
+        e = edges.shape[0]
+        n = agg.shape[0]
+        lat, hid, depth = weights.latent, weights.hidden, weights.depth
+        pl, ph = _lanes(lat), weights.b0.shape[0]
+        if (pl is None or depth < 2 or ph != _lanes(hid)
+                or weights.pack.shape != (
+                    (lat + (depth - 2) * (hid + 1)) * ph
+                    + (hid + 4) * pl,)):
+            raise ValueError("edge_pass weights are not in the layout of "
+                             "edge_pass_weights")
+        bad = self._lib.repro_edge_pass32(
+            e, n, lat, hid, depth, pl // 16, ph // 16,
+            self._f32(edges, (e, lat)),
+            self._f32(proj_s, (n, ph)), self._f32(proj_r, (n, ph)),
+            self._i64(senders, (e,)), self._i64(receivers, (e,)),
+            self._f32(weights.pack), weights.eps, 1 if residual else 0,
+            self._f32(agg, (n, lat)))
+        if bad >= 0:
+            raise IndexError(f"edge {bad}: node index outside [0, {n})")
+        return agg
 
     def segment_sum(self, msgs: np.ndarray, indptr: np.ndarray,
                     out: np.ndarray) -> np.ndarray:

@@ -141,24 +141,22 @@ def layer_norm_inplace(h: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def _mlp_tail_accel(h: np.ndarray, weights, biases, gamma, beta, eps: float,
-                    getbuf, tag: str, kern, bias0: np.ndarray | None = None,
-                    activated: bool = False) -> np.ndarray:
+                    getbuf, tag: str, kern, bias0: np.ndarray | None = None
+                    ) -> np.ndarray:
     """float32 tail using the fused C kernels (bias+ReLU, bias+LayerNorm).
 
     ``h`` is the layer-0 pre-activation. With ``bias0`` the layer-0 bias
-    has not been added yet and is fused into the first ReLU; with
-    ``activated`` the caller already applied bias and ReLU (the fused
-    edge first layer). Requires ``len(weights) > 1``.
+    has not been added yet and is fused into the first ReLU. Requires
+    ``len(weights) > 1``.
     """
     depth = len(weights)
     for k in range(1, depth):
         if k > 1:
             kern.bias_relu(h, biases[k - 1])
-        elif not activated:
-            if bias0 is not None:
-                kern.bias_relu(h, bias0)
-            else:
-                kern.relu(h)
+        elif bias0 is not None:
+            kern.bias_relu(h, bias0)
+        else:
+            kern.relu(h)
         out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
                    h.dtype)
         h = np.matmul(h, weights[k], out=out)
@@ -191,8 +189,7 @@ def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
         kern = _accel_for(h, saved, backend)
         if kern is not None:
             return _mlp_tail_accel(h, weights, biases, gamma, beta, eps,
-                                   getbuf, tag, kern, bias0=bias0,
-                                   activated=activated)
+                                   getbuf, tag, kern, bias0=bias0)
     norm = () if gamma is None else (gamma, beta)
     kern = _accel64(backend, h, *biases, *norm)
     acts = []

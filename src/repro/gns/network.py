@@ -18,9 +18,11 @@ import numpy as np
 
 from ..autodiff import Tensor, concatenate
 from ..backend import get_backend
+from ..accel import edge_pass_weights
 from ..autodiff.fused import (
     edge_mlp_first_layer, fused_edge_mlp, fused_node_mlp,
-    node_mlp_first_layer, _accel_for, _buf, _mlp_tail, _mlp_tail_accel,
+    node_mlp_first_layer, _accel_for, _accel64, _buf, _mlp_tail,
+    _mlp_tail_accel,
 )
 from ..autodiff.scatter import (
     SortedSegments, gather, scatter_add, scatter_softmax,
@@ -31,6 +33,19 @@ from ..nn import MLP, Module
 _NULL_TIMER = contextlib.nullcontext()
 
 __all__ = ["GNSNetworkConfig", "InteractionNetwork", "EncodeProcessDecode"]
+
+
+def _edge_pass_weights(mlp: MLP, ws, bs, gamma, beta, eps):
+    """:func:`repro.accel.edge_pass_weights` of ``mlp``'s float32 arrays,
+    cached on ``mlp`` and invalidated by their identity (the casts are
+    themselves cached by :meth:`repro.nn.Linear.arrays`)."""
+    key = (*ws, *bs, gamma, beta)
+    cache = getattr(mlp, "_edge_pass_cache", None)
+    if cache is None or len(cache[0]) != len(key) or any(
+            a is not c for a, c in zip(key, cache[0])):
+        cache = (key, edge_pass_weights(ws, bs, gamma, beta, eps))
+        object.__setattr__(mlp, "_edge_pass_cache", cache)
+    return cache[1]
 
 
 @dataclass
@@ -188,7 +203,10 @@ class EncodeProcessDecode(Module):
         float32 inputs the block loop additionally dispatches to the
         compiled float32 kernels when ``backend`` (resolved by
         :func:`repro.backend.get_backend`; the engine passes the handle
-        it resolved at construction) is ``accel`` and they are built.
+        it resolved at construction) is ``accel`` and they are built:
+        each block's edge side (edge MLP, aggregation and edge residual)
+        is then one :meth:`repro.accel.CpuKernels.edge_pass`, when the
+        edge MLP has a hidden layer and widths of at most 128.
         """
         timers = timers or {}
         getbuf = work.get if work is not None else None
@@ -236,38 +254,42 @@ class EncodeProcessDecode(Module):
                         backend=b)
                 else:
                     ews, ebs, egamma, ebeta, eeps = block.edge_mlp.arrays(dtype)
-                    hidden = ews[0].shape[1]
-                    h0 = _buf(getbuf, "blk.edge.0", (e, hidden), dtype)
-                    if kern is not None and len(ews) > 1:
-                        # fp32: single-pass gather+add+ReLU C kernel for
-                        # the split first layer, fused bias/LN tail
-                        ein = edges.shape[1]
-                        width = nodes.shape[1]
+                    fused = None if kern is None else _edge_pass_weights(
+                        block.edge_mlp, ews, ebs, egamma, ebeta, eeps)
+                    agg_out = _buf(getbuf, "blk.agg", (n, edges.shape[1]),
+                                   dtype) if dtype == np.float32 else None
+                    if fused is not None:
+                        # fp32: node-sized projections on sgemm, then one
+                        # C pass per edge tile from the gather to the
+                        # aggregation and the edge residual
+                        ph = fused.b0.shape[0]
                         proj_s = np.matmul(
-                            nodes, ews[0][ein:ein + width],
-                            out=_buf(getbuf, "blk.proj_s", (n, hidden), dtype))
-                        proj_s += ebs[0]
+                            nodes, fused.w_send,
+                            out=_buf(getbuf, "blk.proj_s", (n, ph), dtype))
+                        proj_s += fused.b0
                         proj_r = np.matmul(
-                            nodes, ews[0][ein + width:],
-                            out=_buf(getbuf, "blk.proj_r", (n, hidden), dtype))
-                        np.matmul(edges, ews[0][:ein], out=h0)
-                        kern.gather2_add_relu(h0, proj_s, proj_r,
-                                              senders, receivers)
-                        messages = _mlp_tail_accel(h0, ews, ebs, egamma,
-                                                   ebeta, eeps, getbuf,
-                                                   "blk.edge", kern,
-                                                   activated=True)
+                            nodes, fused.w_recv,
+                            out=_buf(getbuf, "blk.proj_r", (n, ph), dtype))
+                        aggregated = kern.edge_pass(
+                            fused, edges, proj_s, proj_r, senders, receivers,
+                            agg_out, residual=bi != last)
+                        messages = None
                     else:
-                        h0 = edge_mlp_first_layer(edges, nodes, senders,
-                                                  receivers, ews[0], ebs[0],
-                                                  out=h0)
+                        # the float64 kernel applies the first ReLU, which
+                        # a one-layer MLP does not have
+                        k64 = _accel64(b, edges, nodes, ews[0], ebs[0],
+                                       senders, receivers) \
+                            if len(ews) > 1 else None
+                        h0 = edge_mlp_first_layer(
+                            edges, nodes, senders, receivers, ews[0], ebs[0],
+                            out=_buf(getbuf, "blk.edge.0",
+                                     (e, ews[0].shape[1]), dtype),
+                            kern=k64)
                         messages = _mlp_tail(h0, ews, ebs, egamma, ebeta,
                                              eeps, getbuf=getbuf,
-                                             tag="blk.edge", backend=b)
-                    agg_out = _buf(getbuf, "blk.agg",
-                                   (n, messages.shape[1]), dtype) \
-                        if dtype == np.float32 else None
-                    aggregated = plan.segment_sum(messages, out=agg_out)
+                                             tag="blk.edge", backend=b,
+                                             activated=k64 is not None)
+                        aggregated = plan.segment_sum(messages, out=agg_out)
                     nws, nbs, ngamma, nbeta, neps = block.node_mlp.arrays(dtype)
                     if kern is not None and len(nws) > 1:
                         width = nodes.shape[1]
@@ -290,9 +312,10 @@ class EncodeProcessDecode(Module):
                                                 neps, getbuf=getbuf,
                                                 tag="blk.node", backend=b)
                 nodes += node_update
-                if bi != last:
+                if bi != last and messages is not None:
                     # the final block's edge residual is dead — nothing
-                    # downstream reads the edge latents (values identical)
+                    # downstream reads the edge latents (values identical);
+                    # the fused edge pass adds its own
                     edges += messages
 
         with timers.get("decode", _NULL_TIMER):

@@ -107,28 +107,6 @@ class TestElementwise:
 
 
 class TestGraphKernels:
-    def test_gather2_add_relu(self):
-        kern = _kernels()
-        e, n, w = 60, 12, 16
-        senders = RNG.integers(0, n, size=e)
-        receivers = RNG.integers(0, n, size=e)
-        h = _f32((e, w))
-        ps, pr = _f32((n, w)), _f32((n, w))
-        expect = np.maximum(h + ps[senders] + pr[receivers], 0.0)
-        kern.gather2_add_relu(h, ps, pr, senders, receivers)
-        np.testing.assert_array_equal(h, expect)
-
-    def test_gather2_add_no_relu(self):
-        kern = _kernels()
-        e, n, w = 20, 6, 8
-        senders = RNG.integers(0, n, size=e)
-        receivers = RNG.integers(0, n, size=e)
-        h = _f32((e, w))
-        ps, pr = _f32((n, w)), _f32((n, w))
-        expect = h + ps[senders] + pr[receivers]
-        kern.gather2_add_relu(h, ps, pr, senders, receivers, relu=False)
-        np.testing.assert_array_equal(h, expect)
-
     def test_segment_sum_bitwise_vs_csr(self):
         kern = _kernels()
         e, n, w = 120, 25, 8
@@ -154,6 +132,222 @@ class TestGraphKernels:
         np.testing.assert_array_equal(out[2], 0.0)
         np.testing.assert_array_equal(out[4], 0.0)
         np.testing.assert_array_equal(out[1], msgs[0] + msgs[1])
+
+
+def _edge_mlp(lat, hid, depth, rng):
+    """float32 edge-MLP arrays as ``MLP.arrays`` gives them: Fortran
+    weights ``(3·lat, hid) … (hid, lat)``, biases, LayerNorm γ/β."""
+    sizes = [3 * lat] + [hid] * (depth - 1) + [lat]
+    ws = [np.asfortranarray(rng.normal(0.0, a ** -0.5, (a, b)),
+                            dtype=np.float32)
+          for a, b in zip(sizes[:-1], sizes[1:])]
+    bs = [rng.normal(0.0, 0.1, b).astype(np.float32) for b in sizes[1:]]
+    gamma = rng.uniform(0.5, 1.5, lat).astype(np.float32)
+    beta = rng.normal(0.0, 0.1, lat).astype(np.float32)
+    return ws, bs, gamma, beta
+
+
+def _edge_graph(e, n, rng, sort=True, used=None):
+    """Random senders/receivers over the first ``used`` of ``n`` nodes
+    (the rest are isolated); receivers sorted unless ``sort`` is off."""
+    used = n if used is None else used
+    senders = rng.integers(0, used, e)
+    receivers = rng.integers(0, used, e)
+    if sort:
+        receivers = np.sort(receivers)
+    return senders, receivers
+
+
+def _edge_pass(kern, packed, edges, nodes, senders, receivers,
+               residual=True):
+    """One fused edge pass; returns ``(agg, edges after)``."""
+    proj_s = nodes @ packed.w_send + packed.b0
+    proj_r = nodes @ packed.w_recv
+    edges = edges.copy()
+    agg = np.full((nodes.shape[0], edges.shape[1]), np.nan, np.float32)
+    kern.edge_pass(packed, edges, proj_s, proj_r, senders, receivers, agg,
+                   residual)
+    return agg, edges
+
+
+class TestEdgePass:
+    """The fused float32 edge pass against the generic float32 path with
+    the kernels off: split first layer, ``_mlp_tail``, CSR segment sum
+    and the residual add."""
+
+    ATOL = 2e-5  # messages are LayerNorm outputs, O(1)
+
+    @staticmethod
+    def _generic(ws, bs, gamma, beta, edges, nodes, senders, receivers):
+        from repro.autodiff import SortedSegments
+        from repro.autodiff.fused import _mlp_tail, edge_mlp_first_layer
+
+        h0 = edge_mlp_first_layer(edges, nodes, senders, receivers, ws[0],
+                                  bs[0])
+        msgs = _mlp_tail(h0, ws, bs, gamma, beta, 1e-5, backend="numpy")
+        plan = SortedSegments(receivers, nodes.shape[0], backend="numpy")
+        return plan.segment_sum(msgs), edges + msgs
+
+    def _check(self, lat, hid, depth, e=203, n=40, used=None, sort=True,
+               residual=True, seed=0):
+        from repro.accel import edge_pass_weights
+
+        kern = _kernels()
+        rng = np.random.default_rng(seed)
+        ws, bs, gamma, beta = _edge_mlp(lat, hid, depth, rng)
+        packed = edge_pass_weights(ws, bs, gamma, beta, 1e-5)
+        assert packed is not None
+        senders, receivers = _edge_graph(e, n, rng, sort, used)
+        edges = rng.normal(size=(e, lat)).astype(np.float32)
+        nodes = rng.normal(size=(n, lat)).astype(np.float32)
+        agg, after = _edge_pass(kern, packed, edges, nodes, senders,
+                                receivers, residual)
+        ref_agg, ref_after = self._generic(ws, bs, gamma, beta, edges,
+                                           nodes, senders, receivers)
+        assert agg.dtype == after.dtype == np.float32
+        counts = np.bincount(receivers, minlength=n)
+        np.testing.assert_allclose(agg, ref_agg, rtol=0,
+                                   atol=self.ATOL * max(counts.max(), 1))
+        if residual:
+            np.testing.assert_allclose(after, ref_after, rtol=0,
+                                       atol=self.ATOL)
+        else:
+            np.testing.assert_array_equal(after, edges)
+        return agg, counts
+
+    @pytest.mark.parametrize("lat", [16, 24, 32, 64, 128])
+    def test_latent_widths(self, lat):
+        self._check(lat, lat, 3)
+
+    @pytest.mark.parametrize("lat,hid", [(32, 64), (64, 32), (24, 128),
+                                         (8, 8), (100, 40)])
+    def test_hidden_differs_from_latent(self, lat, hid):
+        self._check(lat, hid, 3)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_hidden_layer_counts(self, depth):
+        # depth = mlp_hidden_layers + 1 linear layers
+        self._check(32, 32, depth)
+
+    @pytest.mark.parametrize("e", [1, 7, 8, 9, 17])
+    def test_partial_tiles(self, e):
+        self._check(24, 24, 3, e=e, n=5)
+
+    def test_isolated_nodes_get_zero_rows(self):
+        agg, counts = self._check(32, 32, 3, n=40, used=30)
+        assert (counts[30:] == 0).all()
+        np.testing.assert_array_equal(agg[30:], 0.0)
+
+    def test_unsorted_receivers(self):
+        self._check(32, 32, 3, sort=False)
+
+    def test_last_block_leaves_edges(self):
+        self._check(32, 32, 3, residual=False)
+
+    def test_zero_edges_gives_zero_agg(self):
+        self._check(32, 32, 3, e=0)
+
+    @pytest.mark.parametrize("lat,hid", [(24, 24), (32, 64)])
+    def test_rows_do_not_depend_on_their_tile(self, lat, hid):
+        """A graph's messages are bitwise the same alone and behind
+        another graph's edges (the block-diagonal batch of
+        ``rollout_batch``), whatever tile slot each edge lands in."""
+        from repro.accel import edge_pass_weights
+
+        kern = _kernels()
+        rng = np.random.default_rng(5)
+        n = 12
+        ws, bs, gamma, beta = _edge_mlp(lat, hid, 3, rng)
+        packed = edge_pass_weights(ws, bs, gamma, beta, 1e-5)
+        senders, receivers = _edge_graph(29, n, rng)
+        edges = rng.normal(size=(29, lat)).astype(np.float32)
+        nodes = rng.normal(size=(n, lat)).astype(np.float32)
+        agg, after = _edge_pass(kern, packed, edges, nodes, senders,
+                                receivers)
+        for k in range(1, 9):
+            s0, r0 = _edge_graph(k, 3, rng)
+            both_agg, both_after = _edge_pass(
+                kern, packed,
+                np.concatenate([rng.normal(size=(k, lat)).astype(np.float32),
+                                edges]),
+                np.concatenate([rng.normal(size=(3, lat)).astype(np.float32),
+                                nodes]),
+                np.concatenate([s0, senders + 3]),
+                np.concatenate([r0, receivers + 3]))
+            np.testing.assert_array_equal(both_agg[3:], agg)
+            np.testing.assert_array_equal(both_after[k:], after)
+
+    def test_weights_outside_the_kernel(self):
+        from repro.accel import edge_pass_weights
+
+        rng = np.random.default_rng(6)
+        ws, bs, gamma, beta = _edge_mlp(32, 32, 3, rng)
+        # one layer, no LayerNorm, or a width above 128 lanes
+        assert edge_pass_weights(ws[:1], bs[:1], gamma, beta, 1e-5) is None
+        assert edge_pass_weights(ws, bs, None, None, 1e-5) is None
+        ws, bs, gamma, beta = _edge_mlp(32, 160, 3, rng)
+        assert edge_pass_weights(ws, bs, gamma, beta, 1e-5) is None
+
+    @pytest.mark.parametrize("bad", [-1, 40])
+    def test_index_outside_raises_before_writing(self, bad):
+        from repro.accel import edge_pass_weights
+
+        kern = _kernels()
+        rng = np.random.default_rng(7)
+        ws, bs, gamma, beta = _edge_mlp(16, 16, 3, rng)
+        packed = edge_pass_weights(ws, bs, gamma, beta, 1e-5)
+        senders, receivers = _edge_graph(30, 40, rng)
+        nodes = rng.normal(size=(40, 16)).astype(np.float32)
+        edges = rng.normal(size=(30, 16)).astype(np.float32)
+        for which in range(2):
+            args = [senders, receivers]
+            args[which] = args[which].copy()
+            args[which][17] = bad
+            before = edges.copy()
+            agg = np.full((40, 16), 3.0, np.float32)
+            with pytest.raises(IndexError, match="edge 17"):
+                kern.edge_pass(packed, edges, nodes @ packed.w_send,
+                               nodes @ packed.w_recv, *args, agg, True)
+            np.testing.assert_array_equal(edges, before)
+            np.testing.assert_array_equal(agg, 3.0)
+
+    def test_rejects_wrong_dtype_strides_and_shape(self):
+        from repro.accel import edge_pass_weights
+
+        kern = _kernels()
+        rng = np.random.default_rng(8)
+        ws, bs, gamma, beta = _edge_mlp(16, 16, 3, rng)
+        packed = edge_pass_weights(ws, bs, gamma, beta, 1e-5)
+        senders, receivers = _edge_graph(10, 6, rng)
+        edges = rng.normal(size=(10, 16)).astype(np.float32)
+        proj = rng.normal(size=(6, 16)).astype(np.float32)
+        agg = np.empty((6, 16), np.float32)
+
+        def run(edges=edges, ps=proj, pr=proj, s=senders, r=receivers,
+                agg=agg, packed=packed):
+            kern.edge_pass(packed, edges, ps, pr, s, r, agg, True)
+
+        run()
+        with pytest.raises(TypeError):
+            run(edges=edges.astype(np.float64))
+        with pytest.raises(TypeError):
+            run(edges=np.repeat(edges, 2, axis=1)[:, ::2])
+        with pytest.raises(TypeError):
+            run(ps=np.asfortranarray(proj))
+        with pytest.raises(TypeError):
+            run(s=senders.astype(np.int32))
+        with pytest.raises(ValueError):
+            run(edges=edges[:, :8].copy())
+        with pytest.raises(ValueError):
+            run(pr=proj[:5])
+        with pytest.raises(ValueError):
+            run(r=receivers[:9])
+        with pytest.raises(ValueError):
+            run(agg=np.empty((6, 8), np.float32))
+        with pytest.raises(ValueError, match="layout"):
+            run(packed=packed._replace(pack=packed.pack[:-16]))
+        with pytest.raises(ValueError, match="layout"):
+            run(packed=packed._replace(hidden=40))
 
 
 class TestValidation:

@@ -11,6 +11,8 @@ training step and an inverse-problem φ-gradient) every environment.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -148,18 +150,20 @@ class TestEnginePlumbing:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts calls of every public :class:`CpuKernels` method. Checked
-    while ``REPRO_BACKEND`` is still unset, so a working toolchain whose
-    build fails fails the test rather than skipping it."""
+    """Counts calls of every public :class:`CpuKernels` method: ``"n"``
+    all of them, and one entry per method name. Checked while
+    ``REPRO_BACKEND`` is still unset, so a working toolchain whose build
+    fails fails the test rather than skipping it."""
     reason = toolchain_missing()
     if reason is not None:
         pytest.skip(reason)
     assert kernels() is not None, build_error()
-    calls = {"n": 0}
+    calls = collections.Counter()
 
     def counted(method):
         def run(self, *args, **kwargs):
             calls["n"] += 1
+            calls[method.__name__] += 1
             return method(self, *args, **kwargs)
         return run
 
@@ -243,6 +247,28 @@ class TestDispatch:
         sim.rollout(make_seed(sim), 3, material=30.0, dtype=np.float32,
                     backend=kwarg)
         assert (kernel_calls["n"] > 0) == expect, kernel_calls
+        # the processor's edge side runs as the fused pass
+        assert (kernel_calls["edge_pass"] > 0) == expect, kernel_calls
+
+    @_KWARGS
+    @_ENVS
+    def test_float64_engine_rollout(self, monkeypatch, kernel_calls, env,
+                                    kwarg):
+        """The float64 engine's split edge first layer runs
+        ``gather2_add_relu64`` on ``accel``, and its trajectory equals
+        the ``numpy`` leg's bit for bit."""
+        expect = self._set_env(monkeypatch, env, kwarg)
+        sim = make_sim()
+        frames = make_seed(sim)
+        got = sim.rollout(frames, 3, material=30.0, backend=kwarg)
+        assert (kernel_calls["gather2_add_relu64"] > 0) == expect, \
+            kernel_calls
+        before = dict(kernel_calls)
+        reference = sim.rollout(frames, 3, material=30.0, backend="numpy")
+        assert dict(kernel_calls) == before
+        assert got.dtype == reference.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      reference.view(np.int64))
 
     @_KWARGS
     @_ENVS

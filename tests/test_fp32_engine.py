@@ -24,11 +24,14 @@ def _no_sanitizer():
     uninstall()
 
 
-def _make_sim(latent=16, mp=2, history=3, seed=0):
+def _make_sim(latent=16, mp=2, history=3, seed=0, hidden=None,
+              hidden_layers=2):
     spacing = 1.0 / 12
     cfg = FeatureConfig(connectivity_radius=2.33 * spacing, history=history,
                         bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
-    net = GNSNetworkConfig(latent_size=latent, mlp_hidden_size=latent,
+    net = GNSNetworkConfig(latent_size=latent,
+                           mlp_hidden_size=hidden or latent,
+                           mlp_hidden_layers=hidden_layers,
                            message_passing_steps=mp)
     vel = 0.002
     stats = Stats(np.zeros(2), np.full(2, vel), np.zeros(2),
@@ -131,6 +134,65 @@ class TestPlumbing:
         out32 = sim.rollout_batch(batch, 3, dtype=np.float32)
         assert np.abs(out32 - out64).max() < 1e-4
         np.testing.assert_array_equal(out32[0], out32[1])
+
+
+@pytest.fixture
+def edge_passes(monkeypatch):
+    """Counts calls of the fused float32 edge pass."""
+    from repro.accel import CpuKernels, build_error, kernels, toolchain_missing
+
+    if toolchain_missing() is not None:
+        pytest.skip(toolchain_missing())
+    assert kernels() is not None, build_error()
+    calls = {"n": 0}
+    run = CpuKernels.edge_pass
+
+    def counted(self, *args, **kwargs):
+        calls["n"] += 1
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CpuKernels, "edge_pass", counted)
+    return calls
+
+
+class TestFusedEdgePass:
+    """The float32 engine's edge side runs as one C pass per block; its
+    trajectories stay deterministic and batch-independent."""
+
+    def test_batch_equals_solo_rollouts_bitwise(self, edge_passes):
+        sim = _make_sim()
+        seeds = np.stack([_seed_frames(sim, seed=s) for s in (1, 2, 3)])
+        batch = sim.rollout_batch(seeds, 6, dtype=np.float32,
+                                  backend="accel")
+        assert edge_passes["n"] > 0
+        for i in range(3):
+            np.testing.assert_array_equal(
+                batch[i], sim.rollout(seeds[i], 6, dtype=np.float32,
+                                      backend="accel"))
+
+    def test_repeated_rollouts_bitwise(self, edge_passes):
+        sim = _make_sim(latent=24)
+        frames = _seed_frames(sim)
+        first = sim.rollout(frames, 6, dtype=np.float32, backend="accel")
+        assert edge_passes["n"] > 0
+        np.testing.assert_array_equal(
+            first, sim.rollout(frames, 6, dtype=np.float32, backend="accel"))
+
+    @pytest.mark.parametrize("hidden_layers", [0, 1, 2, 3])
+    def test_hidden_layers_match_numpy_backend(self, edge_passes,
+                                               hidden_layers):
+        """A one-layer edge MLP (no hidden layer) keeps the generic
+        path; every deeper one runs the fused pass, within the float32
+        tolerance of the kernel-free path."""
+        sim = _make_sim(latent=32, hidden=64, hidden_layers=hidden_layers,
+                        seed=3)
+        frames = _seed_frames(sim)
+        fused = sim.rollout(frames, 5, dtype=np.float32, backend="accel")
+        assert (edge_passes["n"] > 0) == (hidden_layers > 0)
+        calls = edge_passes["n"]
+        generic = sim.rollout(frames, 5, dtype=np.float32, backend="numpy")
+        assert edge_passes["n"] == calls
+        assert np.abs(fused - generic).max() < 1e-5
 
 
 class TestSanitizer:
