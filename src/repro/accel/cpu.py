@@ -4,26 +4,33 @@ Three consumers share one library:
 
 * The float32 inference fast path (``InferenceEngine(dtype=np.float32)``).
   Its processor's edge side, the largest share of a step, runs as one
-  fused pass per message-passing block (``edge_pass``): tiles of edges
-  go from the gathered first layer through every GEMM, ReLU and
-  LayerNorm to the aggregation and the edge residual in registers and
-  L1, with no edge-sized intermediate in memory. Node-sized work stays
-  on BLAS sgemm, and the node MLPs, encoders and decoder use the
-  single-pass glue kernels (bias + ReLU, LayerNorm) between their sgemm
-  calls, where NumPy pays one full pass over the array per ufunc.
+  fused pass per message-passing block (``edge_pass``, called by
+  ``EncodeProcessDecode.forward_fast``): tiles of edges go from the
+  gathered first layer through every GEMM, ReLU and LayerNorm to the
+  aggregation and the edge residual in registers and L1, with no
+  edge-sized intermediate in memory. Node-sized work stays on BLAS
+  sgemm. The node MLPs, encoders and decoder, and the edge MLPs the
+  pass does not cover, run the MLP tail of :mod:`repro.autodiff.fused`,
+  which calls the single-pass glue kernels (``relu``, ``bias_relu``,
+  ``ln``, ``bias_ln``) between their sgemm calls, where NumPy pays one
+  full pass over the array per ufunc.
 * The 2-D MPM step (:class:`repro.mpm.MPMSolver`) runs its shape
   evaluation, particle-to-grid scatter, grid update, grid-to-particle
   gather and the elastic and Drucker–Prager stress updates as float64
   kernels, one call per phase and per material instead of about 190
   NumPy calls for the phases plus each material's NumPy update.
-* The float64 tape (training and the inverse problem's k-step rollout
-  gradient) runs the elementwise glue of its fused MLPs and graph
-  aggregations as float64 kernels: the split edge first layer's two
-  gathers and first ReLU in one pass, bias+ReLU between layers,
-  LayerNorm's affine tail and input gradient, the ReLU-mask multiply of
-  the VJP, and the CSR segment sum. The GEMMs and the reductions NumPy
-  sends to BLAS or einsum (row means, variances, bias and γ/β sums) stay
-  in NumPy, whose summation order they keep.
+* The float64 MLP path of :mod:`repro.autodiff.fused`, which the tape
+  (training and the inverse problem's k-step rollout gradient) and the
+  float64 inference engine share, runs the elementwise glue of its MLPs
+  and graph aggregations as float64 kernels: the split edge first
+  layer's two gathers and first ReLU in one pass
+  (``gather2_add_relu64``), bias+ReLU between layers (``relu64``,
+  ``bias_relu64``), the CSR segment sum (``segment_sum64``), and on the
+  tape LayerNorm's affine tail and input gradient (``ln_affine64``,
+  ``ln_vjp64``) and the ReLU-mask multiply of the VJP
+  (``relu_mask64``). The GEMMs and the reductions NumPy sends to BLAS or
+  einsum (row means, variances, bias and γ/β sums) stay in NumPy, whose
+  summation order they keep.
 
 Everything is compiled once per machine with the system ``cc`` through
 cffi's ABI mode, cached on disk by source hash.

@@ -3,19 +3,31 @@
 The GNS hot loop is dominated by small MLPs applied to every edge and
 node. Composing them from Tensor primitives costs one Python closure,
 one tape node, and at least one temporary array per op. This module
-provides:
+provides one MLP path for the tape and the inference engine, in both
+dtypes:
 
-* **Plain-NumPy forward kernels** (:func:`mlp_forward_numpy` and the
-  split first-layer helpers) used by the no-grad inference paths. They
-  accept optional caller-managed buffers so a rollout engine can run
+* **Array-level MLPs** (:func:`mlp_forward_numpy`, :func:`edge_mlp_numpy`,
+  :func:`node_mlp_numpy`). Each runs its first layer (split for the
+  graph MLPs, below) and then the one tail, :func:`_mlp_tail`: the
+  hidden layers and the optional LayerNorm. Their optional ``getbuf``
+  hands out caller-managed buffers, so a rollout engine runs them
   allocation-free.
+* **One kernel dispatcher**, :func:`_kernels`: the compiled kernels of
+  :mod:`repro.accel` when the operands are C-contiguous, share one
+  kernel dtype and use int64 indices, and the switch is ``accel``. Each
+  bias+ReLU, ReLU and LayerNorm step of the tail runs the float32
+  kernel, the float64 kernel or the NumPy expression by dtype, and the
+  edge MLP's split first layer runs ``gather2_add_relu64`` in float64.
+  Float64 kernels keep NumPy's bits. The float32 ones reassociate
+  LayerNorm, so they run only without a tape (the float32 drift
+  contract of the inference engine).
 * **Fused tape ops** (:func:`linear_relu`, :func:`mlp_forward`,
-  :func:`fused_edge_mlp`, :func:`fused_node_mlp`) that execute the same
-  kernels forward and implement a single hand-written vector-Jacobian
-  product, so the training path and the inference path share bitwise-
-  identical float64 numerics.
+  :func:`fused_edge_mlp`, :func:`fused_node_mlp`) that run the
+  array-level MLPs forward and implement a single hand-written
+  vector-Jacobian product, so the training path and the inference path
+  share bitwise-identical float64 numerics.
 
-The split first-layer trick: an interaction-network edge update computes
+The split first layer: an interaction-network edge update computes
 ``φ_e([e, v_s, v_r]) = concat([e, v_s, v_r]) @ W0 + b0``. Splitting
 ``W0`` by row blocks ``[We; Ws; Wr]`` gives
 
@@ -24,7 +36,9 @@ The split first-layer trick: an interaction-network edge update computes
 which replaces two *edge-sized* matmul blocks with *node-sized* ones
 (~20× fewer flops on those blocks at GNS densities) and eliminates the
 edge-sized concatenation entirely. The bias is folded into the sender
-projection so it is added once per node instead of once per edge.
+projection so it is added once per node instead of once per edge. The
+node update ``φ_v([v, Σe'])`` splits the same way into ``v @ Wv +
+agg @ Wa``.
 """
 # repro-lint: fp32-ok — float32 inference fast path
 
@@ -38,8 +52,7 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "linear_relu", "mlp_forward", "fused_edge_mlp", "fused_node_mlp",
-    "mlp_forward_numpy", "edge_mlp_first_layer", "node_mlp_first_layer",
-    "layer_norm_inplace",
+    "mlp_forward_numpy", "edge_mlp_numpy", "node_mlp_numpy",
 ]
 
 # cached per-(width, dtype) mean vectors: row means as a matvec run ~2.5×
@@ -62,41 +75,39 @@ def _buf(getbuf, tag: str, shape: tuple, dtype) -> np.ndarray:
     return getbuf(tag, shape, dtype)
 
 
-def _accel_for(h: np.ndarray, saved, backend=None) -> object | None:
-    """Compiled kernels for the fused float32 tail of ``h``, or None.
+_F32, _F64, _I64 = (np.dtype(t) for t in (np.float32, np.float64, np.int64))
 
-    Only the no-grad float32 path runs :func:`_mlp_tail_accel`, whose
-    LayerNorm kernel reassociates its sums: tape mode (``saved``) keeps
-    the float64 contract and needs the NumPy intermediates for the VJP.
-    The float64 tail asks :func:`_accel64` instead, one step at a time,
-    and its kernels keep NumPy's bits. ``backend`` is resolved by
-    :func:`repro.backend.get_backend` (the inference engine passes the
-    handle it resolved at construction).
+
+def _kernels(backend, h: np.ndarray, *others: np.ndarray,
+             tape: bool = False):
+    """The compiled kernels for the array ``h`` and ``others``, or None.
+
+    ``h`` sets the kernel dtype, float32 or float64; every array must be
+    C-contiguous and of that dtype, or int64 (indices). ``backend`` is
+    resolved by :func:`repro.backend.get_backend` (the inference engine
+    passes the handle it resolved at construction). With ``tape`` (a
+    recording forward or a VJP) float32 gets None: its LayerNorm kernel
+    reassociates, and the tape keeps the float64 contract. The caller
+    picks the dtype's kernel; the parameter vectors it then passes
+    (biases, γ, β) must be contiguous and of ``h``'s dtype, as
+    :meth:`repro.nn.MLP.arrays` and the tape's parameters are, or the
+    kernel wrappers raise.
     """
-    if saved is not None or h.dtype != np.float32 or not h.flags.c_contiguous:
+    # native dtypes are singletons: identity is the cheapest test, and a
+    # byte-swapped array (another dtype object) must not reach a kernel
+    dtype = h.dtype
+    if ((dtype is not _F64 and (tape or dtype is not _F32))
+            or not h.flags.c_contiguous):
         return None
-    return get_backend(backend).float32_kernels()
-
-
-_TAPE_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
-
-
-def _accel64(backend, *arrays: np.ndarray) -> object | None:
-    """Compiled kernels for the float64 glue over ``arrays``, or None.
-
-    They run when every array is C-contiguous float64 (int64 for
-    indices) and the switch is ``accel``. Each float64 glue kernel
-    repeats its NumPy expression's operations in order (see
-    :mod:`repro.accel.cpu`), so the answer changes speed, never bits.
-    """
-    for a in arrays:
-        if a.dtype not in _TAPE_DTYPES or not a.flags.c_contiguous:
+    for a in others:
+        if not a.flags.c_contiguous or (a.dtype is not dtype
+                                        and a.dtype is not _I64):
             return None
     return get_backend(backend).float32_kernels()
 
 
 # ----------------------------------------------------------------------
-# NumPy forward kernels (shared by tape ops and no-grad inference)
+# Array-level MLPs (shared by tape ops and no-grad inference)
 # ----------------------------------------------------------------------
 
 def _ln_stats(h: np.ndarray, eps: float, out: np.ndarray | None = None
@@ -114,116 +125,87 @@ def _ln_stats(h: np.ndarray, eps: float, out: np.ndarray | None = None
     return centered, inv
 
 
-def layer_norm_inplace(h: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       eps: float, backend=None) -> np.ndarray:
-    """LayerNorm over the last axis, overwriting ``h``.
-
-    float32 inputs dispatch to the single-pass C kernel when available
-    (last-ulp differences vs NumPy; see :mod:`repro.accel.cpu`)."""
-    if h.ndim == 2:
-        kern = _accel_for(h, None, backend)
-        if (kern is not None and gamma.dtype == np.float32
-                and beta.dtype == np.float32
-                and gamma.flags.c_contiguous and beta.flags.c_contiguous):
-            return kern.ln(h, gamma, beta, eps)
-    width = h.shape[-1]
-    mu = h @ _mean_vec(width, h.dtype)
-    np.subtract(h, mu[:, None], out=h)
-    var = np.einsum("ij,ij->i", h, h)
-    var /= width
-    var += eps
-    np.sqrt(var, out=var)
-    np.divide(1.0, var, out=var)
-    h *= var[:, None]
-    h *= gamma
-    h += beta
-    return h
-
-
-def _mlp_tail_accel(h: np.ndarray, weights, biases, gamma, beta, eps: float,
-                    getbuf, tag: str, kern, bias0: np.ndarray | None = None
-                    ) -> np.ndarray:
-    """float32 tail using the fused C kernels (bias+ReLU, bias+LayerNorm).
-
-    ``h`` is the layer-0 pre-activation. With ``bias0`` the layer-0 bias
-    has not been added yet and is fused into the first ReLU. Requires
-    ``len(weights) > 1``.
-    """
-    depth = len(weights)
-    for k in range(1, depth):
-        if k > 1:
-            kern.bias_relu(h, biases[k - 1])
-        elif bias0 is not None:
-            kern.bias_relu(h, bias0)
-        else:
+def _relu(kern, h: np.ndarray, bias: np.ndarray | None) -> None:
+    """In place ``h = max(h + bias, 0)``, or ``max(h, 0)`` without a
+    bias."""
+    if kern is None:
+        if bias is not None:
+            h += bias
+        np.maximum(h, 0.0, out=h)
+    elif h.dtype == _F32:
+        if bias is None:
             kern.relu(h)
-        out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
-                   h.dtype)
-        h = np.matmul(h, weights[k], out=out)
-    if gamma is not None:
-        kern.bias_ln(h, biases[depth - 1], gamma, beta, eps)
+        else:
+            kern.bias_relu(h, bias)
+    elif bias is None:
+        kern.relu64(h)
     else:
-        h += biases[depth - 1]
+        kern.bias_relu64(h, bias)
+
+
+def _layer_norm(kern, h: np.ndarray, bias: np.ndarray | None, gamma, beta,
+                eps: float, saved: dict | None) -> np.ndarray:
+    """``LayerNorm(h + bias)`` over rows (no bias when None). Without
+    ``saved`` it overwrites ``h``; with it (tape mode) it returns a fresh
+    array and records ``xhat``/``inv`` for the VJP."""
+    if kern is not None and h.dtype == _F32:
+        if bias is None:
+            return kern.ln(h, gamma, beta, eps)
+        return kern.bias_ln(h, bias, gamma, beta, eps)
+    if bias is not None:
+        h += bias
+    if saved is None:
+        _, inv = _ln_stats(h, eps, out=h)
+        h *= inv[:, None]
+        h *= gamma
+        h += beta
+        return h
+    # the kernel path centres h, this op's own fresh array, in place
+    xhat, inv = _ln_stats(h, eps, out=None if kern is None else h)
+    if kern is not None:
+        h = kern.ln_affine64(xhat, inv, gamma, beta, np.empty_like(h))
+    else:
+        xhat *= inv[:, None]
+        h = xhat * gamma
+        h += beta
+    saved["xhat"], saved["inv"] = xhat, inv
     return h
 
 
 def _mlp_tail(h: np.ndarray, weights, biases, gamma, beta, eps: float,
-              getbuf=None, tag: str = "mlp", saved: dict | None = None,
-              backend=None, bias0: np.ndarray | None = None,
+              kern, getbuf=None, tag: str = "mlp", saved: dict | None = None,
+              bias0: np.ndarray | None = None,
               activated: bool = False) -> np.ndarray:
-    """Layers 1..K−1 plus optional LayerNorm, given layer-0 pre-activation.
+    """Layers 1..K−1 plus optional LayerNorm, given layer 0's output.
 
-    With ``bias0`` the layer-0 bias has not been added yet; with
-    ``activated`` the caller already applied the first ReLU (the float64
-    split edge first layer). With ``saved`` (tape mode) every
-    intermediate is a fresh allocation and the post-ReLU activations /
-    LayerNorm stats are recorded for the VJP. Without it, ReLU and
-    LayerNorm run in place and matmuls target caller buffers — same
-    operations, bitwise-identical values. On the no-grad float32 path,
-    multi-layer tails dispatch to the fused C kernels when available; on
-    float64 each bias+ReLU, ReLU and tape LayerNorm step calls its
-    compiled kernel when :func:`_accel64` gives one, its NumPy
-    expression otherwise.
+    With ``bias0`` the layer-0 bias has not been added yet: it folds
+    into the first bias+ReLU (a one-layer MLP adds it on its own). With
+    ``activated`` the first ReLU has been applied (the float64 split
+    edge first layer). ``kern`` is :func:`_kernels`' answer for ``h``.
+    With ``saved`` (tape mode) every intermediate is a fresh allocation
+    and the post-ReLU activations / LayerNorm stats are recorded for the
+    VJP. Without it, ReLU and LayerNorm run in place and matmuls target
+    caller buffers — same operations, bitwise-identical values in
+    float64.
     """
-    if len(weights) > 1:
-        kern = _accel_for(h, saved, backend)
-        if kern is not None:
-            return _mlp_tail_accel(h, weights, biases, gamma, beta, eps,
-                                   getbuf, tag, kern, bias0=bias0)
-    norm = () if gamma is None else (gamma, beta)
-    kern = _accel64(backend, h, *biases, *norm)
+    if len(weights) == 1 and bias0 is not None:
+        h += bias0
+        bias0 = None
     acts = []
     pending = bias0  # the bias still to add before the next ReLU
     for k in range(1, len(weights)):
-        if kern is None:
-            if pending is not None:
-                h += pending
-            np.maximum(h, 0.0, out=h)
-        elif pending is not None:
-            kern.bias_relu64(h, pending)
-        elif not activated:
-            kern.relu64(h)
+        if not activated:
+            _relu(kern, h, pending)
+        activated = False
         acts.append(h)
         out = _buf(getbuf, f"{tag}.{k}", (h.shape[0], weights[k].shape[1]),
                    h.dtype)
         h = np.matmul(h, weights[k], out=out)
         pending = biases[k]
-    if pending is not None:
-        h += pending
     if gamma is not None:
-        if saved is not None:
-            # the kernel path centres h, this op's own fresh array, in place
-            xhat, inv = _ln_stats(h, eps, out=None if kern is None else h)
-            if kern is not None:
-                h = kern.ln_affine64(xhat, inv, gamma, beta,
-                                     np.empty_like(h))
-            else:
-                xhat *= inv[:, None]
-                h = xhat * gamma
-                h += beta
-            saved["xhat"], saved["inv"] = xhat, inv
-        else:
-            layer_norm_inplace(h, gamma, beta, eps, backend=backend)
+        h = _layer_norm(kern, h, pending, gamma, beta, eps, saved)
+    elif pending is not None:
+        h += pending
     if saved is not None:
         saved["acts"] = acts
     return h
@@ -245,51 +227,66 @@ def mlp_forward_numpy(x: np.ndarray, weights, biases, gamma=None, beta=None,
                   out=_buf(getbuf, f"{tag}.0", (x.shape[0], weights[0].shape[1]),
                            np.result_type(x, weights[0])))
     # layer-0 bias folds into the first bias+ReLU pass
-    return _mlp_tail(h, weights, biases, gamma, beta, eps, getbuf=getbuf,
-                     tag=tag, saved=saved, backend=backend, bias0=biases[0])
+    return _mlp_tail(h, weights, biases, gamma, beta, eps,
+                     _kernels(backend, h, tape=saved is not None), getbuf,
+                     tag, saved, bias0=biases[0])
 
 
-def edge_mlp_first_layer(edge_f: np.ndarray, node_f: np.ndarray,
-                         senders: np.ndarray, receivers: np.ndarray,
-                         w0: np.ndarray, b0: np.ndarray,
-                         out: np.ndarray | None = None,
-                         kern=None) -> np.ndarray:
-    """Split-evaluate ``concat([edge_f, node_f[s], node_f[r]]) @ w0 + b0``.
-
-    With ``kern`` (float64 operands) the two gather-adds and the ReLU
-    that follows run as one compiled pass, and the result is activated.
-    """
+def edge_mlp_numpy(edge_f: np.ndarray, node_f: np.ndarray,
+                   senders: np.ndarray, receivers: np.ndarray, weights,
+                   biases, gamma=None, beta=None, eps: float = 1e-5,
+                   getbuf=None, tag: str = "edge", saved: dict | None = None,
+                   backend=None) -> np.ndarray:
+    """Edge MLP ``φ_e([e, v_s, v_r])`` on plain arrays: the split first
+    layer, then the tail. ``weights[0]`` stacks the row blocks of ``e``,
+    ``v_s`` and ``v_r``; the other arguments are as for
+    :func:`mlp_forward_numpy`."""
     ein = edge_f.shape[1]
     width = node_f.shape[1]
-    w_edge = w0[:ein]
-    w_send = w0[ein:ein + width]
-    w_recv = w0[ein + width:]
-    proj_s = node_f @ w_send
-    proj_s += b0  # bias folded: added once per node, not once per edge
-    proj_r = node_f @ w_recv
-    if out is None:
-        h = edge_f @ w_edge
+    w0 = weights[0]
+    proj_shape = (node_f.shape[0], w0.shape[1])
+    dtype = np.result_type(node_f, w0)
+    proj_s = np.matmul(node_f, w0[ein:ein + width],
+                       out=_buf(getbuf, f"{tag}.proj_s", proj_shape, dtype))
+    proj_s += biases[0]  # bias folded: added once per node, not once per edge
+    proj_r = np.matmul(node_f, w0[ein + width:],
+                       out=_buf(getbuf, f"{tag}.proj_r", proj_shape, dtype))
+    h = np.matmul(edge_f, w0[:ein],
+                  out=_buf(getbuf, f"{tag}.0", (edge_f.shape[0], w0.shape[1]),
+                           np.result_type(edge_f, w0)))
+    kern = _kernels(backend, h, proj_s, proj_r, senders, receivers,
+                    tape=saved is not None)
+    # the float64 kernel applies the first ReLU, which only an MLP with a
+    # hidden layer has (there is no float32 one)
+    activated = kern is not None and h.dtype == _F64 and len(weights) > 1
+    if activated:
+        kern.gather2_add_relu64(h, proj_s, proj_r, senders, receivers)
     else:
-        h = np.matmul(edge_f, w_edge, out=out)
-    if kern is not None:
-        return kern.gather2_add_relu64(h, proj_s, proj_r, senders, receivers)
-    h += proj_s.take(senders, axis=0)
-    h += proj_r.take(receivers, axis=0)
-    return h
+        h += proj_s.take(senders, axis=0)
+        h += proj_r.take(receivers, axis=0)
+    return _mlp_tail(h, weights, biases, gamma, beta, eps, kern, getbuf, tag,
+                     saved, activated=activated)
 
 
-def node_mlp_first_layer(node_f: np.ndarray, agg: np.ndarray,
-                         w0: np.ndarray, b0: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Split-evaluate ``concat([node_f, agg]) @ w0 + b0``."""
+def node_mlp_numpy(node_f: np.ndarray, agg: np.ndarray, weights, biases,
+                   gamma=None, beta=None, eps: float = 1e-5, getbuf=None,
+                   tag: str = "node", saved: dict | None = None,
+                   backend=None) -> np.ndarray:
+    """Node MLP ``φ_v([v, agg])`` on plain arrays: the split first layer
+    ``v @ Wv + agg @ Wa`` (no concatenation), then the tail. Arguments as
+    :func:`mlp_forward_numpy`."""
     width = node_f.shape[1]
-    if out is None:
-        h = node_f @ w0[:width]
-    else:
-        h = np.matmul(node_f, w0[:width], out=out)
-    h += agg @ w0[width:]
-    h += b0
-    return h
+    w0 = weights[0]
+    shape = (node_f.shape[0], w0.shape[1])
+    h = np.matmul(node_f, w0[:width],
+                  out=_buf(getbuf, f"{tag}.0", shape,
+                           np.result_type(node_f, w0)))
+    h += np.matmul(agg, w0[width:],
+                   out=_buf(getbuf, f"{tag}.agg", shape, h.dtype))
+    # layer-0 bias folds into the first bias+ReLU pass
+    return _mlp_tail(h, weights, biases, gamma, beta, eps,
+                     _kernels(backend, h, tape=saved is not None), getbuf,
+                     tag, saved, bias0=biases[0])
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +312,7 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
         m1 = gxh @ _mean_vec(width, gxh.dtype)
         m2 = np.einsum("ij,ij->i", gxh, xhat)
         m2 /= width
-        kern = _accel64(None, gxh, xhat)
+        kern = _kernels(None, gxh, xhat, tape=True)
         if kern is not None:
             gh = kern.ln_vjp64(gxh, xhat, m1, m2, inv)
         else:
@@ -333,7 +330,7 @@ def _mlp_backward_tail(g: np.ndarray, saved: dict, weights, biases,
         if grads.wants(biases[k]):
             Tensor._add_grad(grads, biases[k], gh.sum(axis=0))
         gh = gh @ weights[k].data.T
-        kern = _accel64(None, gh, act)
+        kern = _kernels(None, gh, act, tape=True)
         if kern is not None:
             kern.relu_mask64(gh, act)
         else:
@@ -411,16 +408,11 @@ def fused_edge_mlp(edge_f, node_f, senders: np.ndarray, receivers: np.ndarray,
     senders = np.asarray(senders, dtype=np.intp)
     receivers = np.asarray(receivers, dtype=np.intp)
     saved: dict = {}
-    # the kernel applies the first ReLU, which a one-layer MLP does not have
-    kern = _accel64(None, edge_f.data, node_f.data, weights[0].data,
-                    biases[0].data, senders,
-                    receivers) if len(weights) > 1 else None
-    h0 = edge_mlp_first_layer(edge_f.data, node_f.data, senders, receivers,
-                              weights[0].data, biases[0].data, kern=kern)
-    out = _mlp_tail(h0, [w.data for w in weights], [b.data for b in biases],
-                    gamma.data if gamma is not None else None,
-                    beta.data if beta is not None else None,
-                    eps, saved=saved, activated=kern is not None)
+    out = edge_mlp_numpy(edge_f.data, node_f.data, senders, receivers,
+                         [w.data for w in weights], [b.data for b in biases],
+                         gamma.data if gamma is not None else None,
+                         beta.data if beta is not None else None,
+                         eps, saved=saved)
 
     def backward(g, grads):
         gh = _mlp_backward_tail(g, saved, weights, biases, gamma, beta, grads)
@@ -467,12 +459,11 @@ def fused_node_mlp(node_f, agg, weights, biases, gamma=None, beta=None,
     if residual is not None:
         residual = as_tensor(residual)
     saved: dict = {}
-    h0 = node_mlp_first_layer(node_f.data, agg.data, weights[0].data,
-                              biases[0].data)
-    out = _mlp_tail(h0, [w.data for w in weights], [b.data for b in biases],
-                    gamma.data if gamma is not None else None,
-                    beta.data if beta is not None else None,
-                    eps, saved=saved)
+    out = node_mlp_numpy(node_f.data, agg.data, [w.data for w in weights],
+                         [b.data for b in biases],
+                         gamma.data if gamma is not None else None,
+                         beta.data if beta is not None else None,
+                         eps, saved=saved)
     if residual is not None:
         # same operand order as the unfused `residual + update` tape op,
         # so the fold is bitwise-neutral

@@ -2,8 +2,8 @@
 
 Every array operation is NumPy. The switch decides one thing: whether
 the compiled C kernels of :mod:`repro.accel` (the fused float32
-inference kernels, the float64 MPM step and the float64 tape's
-elementwise glue) may run.
+inference kernels, the float64 MPM step and the float64 elementwise
+glue of the MLPs that the tape and the float64 engine share) may run.
 :func:`get_backend` resolves a name, a handle or ``None`` to one of two
 frozen handles:
 
@@ -47,10 +47,11 @@ class Backend:
     name: str
 
     def float32_kernels(self):
-        """The compiled kernels (:class:`repro.accel.CpuKernels`: the
-        float32 inference kernels, the float64 MPM step and tape glue),
-        or ``None`` on ``numpy`` and where the toolchain cannot build
-        them."""
+        """The compiled kernels of both dtypes
+        (:class:`repro.accel.CpuKernels`: the float32 inference kernels,
+        the float64 MPM step and the float64 MLP glue that the tape and
+        the float64 engine share), or ``None`` on ``numpy`` and where the
+        toolchain cannot build them."""
         return kernels() if self.name == "accel" else None
 
 

@@ -47,7 +47,6 @@ import time
 
 import numpy as np
 
-from ..autodiff.scatter import SortedSegments
 from ..backend import get_backend
 from ..graph import NeighborListCache
 from ..lint.sanitize import active as active_sanitizer
@@ -193,8 +192,7 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def _forward(self, window: np.ndarray, node_feats: np.ndarray,
-                 senders: np.ndarray, receivers: np.ndarray,
-                 plan=None) -> np.ndarray:
+                 senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
         """Features (dynamic columns) → network → denormalized accel.
 
         Features are assembled directly into the run-dtype buffers (the
@@ -215,7 +213,7 @@ class InferenceEngine:
                                   node_feats.dtype))
         acc_norm = sim.network.forward_fast(node_feats, edge_feats, senders,
                                             receivers, work=self.work,
-                                            timers=self._spans, plan=plan,
+                                            timers=self._spans,
                                             backend=self.backend)
         # everything downstream (integration, guards, the rollout
         # window) is float64
@@ -395,17 +393,15 @@ class InferenceEngine:
                              for i, c in enumerate(caches)]
                     senders = np.concatenate(
                         [s + i * n for i, (s, _) in enumerate(parts)])
+                    # each trajectory's receivers come out of its cache
+                    # sorted and the offsets increase, so the block-diagonal
+                    # receiver index is sorted too: a reduction plan over
+                    # it is a single searchsorted
                     receivers = np.concatenate(
                         [r + i * n for i, (_, r) in enumerate(parts)])
-                # each trajectory's receivers come out of its cache sorted
-                # and the offsets increase, so the block-diagonal receiver
-                # index is sorted too: the reduction plan shared by every
-                # processor block is a single searchsorted
-                plan = SortedSegments(receivers, b * n, backend=self.backend)
             if edge_hist is not None:
                 edge_hist.observe(senders.shape[0])
-            acc = self._forward(window, node_feats, senders, receivers,
-                                plan=plan)
+            acc = self._forward(window, node_feats, senders, receivers)
             if san is not None:
                 san.check("engine.forward", acc, step=t)
             with self._spans["integrate"]:

@@ -20,9 +20,8 @@ from ..autodiff import Tensor, concatenate
 from ..backend import get_backend
 from ..accel import edge_pass_weights
 from ..autodiff.fused import (
-    edge_mlp_first_layer, fused_edge_mlp, fused_node_mlp,
-    node_mlp_first_layer, _accel_for, _accel64, _buf, _mlp_tail,
-    _mlp_tail_accel,
+    edge_mlp_numpy, fused_edge_mlp, fused_node_mlp, node_mlp_numpy, _buf,
+    _kernels,
 )
 from ..autodiff.scatter import (
     SortedSegments, gather, scatter_add, scatter_softmax,
@@ -187,7 +186,7 @@ class EncodeProcessDecode(Module):
                      backend=None) -> np.ndarray:
         """No-grad forward with optional buffer reuse and stage timing.
 
-        Runs the same fused kernels as the tape path (split first layers,
+        Runs the tape path's array-level MLPs (split first layers,
         in-place LayerNorm, one aggregation plan shared by every block),
         so float64 results are bitwise-identical to :meth:`forward`.
         With ``work`` (a :class:`repro.utils.buffers.Workspace`) every
@@ -197,23 +196,24 @@ class EncodeProcessDecode(Module):
         :class:`repro.obs.Tracer` spans (the engine passes its stage
         spans).
 
-        ``plan`` is a :class:`SortedSegments` over ``receivers``; the
-        engine builds it once per step so every block shares one set of
-        aggregation structures, and it is built here when not given. On
-        float32 inputs the block loop additionally dispatches to the
-        compiled float32 kernels when ``backend`` (resolved by
+        ``plan`` is a :class:`SortedSegments` over ``receivers`` (a
+        caller with a fixed graph passes one); it is built here the
+        first time a block aggregates through it. The compiled kernels
+        run when ``backend`` (resolved by
         :func:`repro.backend.get_backend`; the engine passes the handle
-        it resolved at construction) is ``accel`` and they are built:
-        each block's edge side (edge MLP, aggregation and edge residual)
-        is then one :meth:`repro.accel.CpuKernels.edge_pass`, when the
-        edge MLP has a hidden layer and widths of at most 128.
+        it resolved at construction) is ``accel`` and they are built.
+        On float32 inputs each block's edge side (edge MLP, aggregation
+        and edge residual) is then one
+        :meth:`repro.accel.CpuKernels.edge_pass`, when the edge MLP has a
+        hidden layer and widths of at most 128; attention blocks, the
+        other edge MLPs, float64 and ``numpy`` aggregate through the
+        plan.
         """
         timers = timers or {}
         getbuf = work.get if work is not None else None
         b = get_backend(backend)
         dtype = node_features.dtype
         n = node_features.shape[0]
-        e = edge_features.shape[0]
 
         with timers.get("encode", _NULL_TIMER):
             nodes = self.node_encoder.forward_numpy(node_features, getbuf,
@@ -222,13 +222,19 @@ class EncodeProcessDecode(Module):
                                                     "enc.edge", backend=b)
 
         with timers.get("process", _NULL_TIMER):
-            plan = plan or SortedSegments(receivers, n, backend=b)
-            kern = _accel_for(nodes, None, b)
-            if kern is not None and (senders.dtype != np.int64
-                                     or receivers.dtype != np.int64):
-                kern = None
+            kern = None
+            if dtype == np.float32:
+                kern = _kernels(b, nodes, edges, senders, receivers)
             last = len(self.blocks) - 1
             for bi, block in enumerate(self.blocks):
+                edge_mlp = (None if block.attention
+                            else block.edge_mlp.arrays(dtype))
+                fused = None
+                if kern is not None and edge_mlp is not None:
+                    fused = _edge_pass_weights(block.edge_mlp, *edge_mlp)
+                if fused is None and plan is None:
+                    plan = SortedSegments(receivers, n, backend=b)
+                messages = None
                 if block.attention:
                     # the tape's attention block op for op: concatenated
                     # edge input, scatter_softmax's reciprocal, node MLP
@@ -253,14 +259,11 @@ class EncodeProcessDecode(Module):
                         np.concatenate([nodes, aggregated], axis=1),
                         backend=b)
                 else:
-                    ews, ebs, egamma, ebeta, eeps = block.edge_mlp.arrays(dtype)
-                    fused = None if kern is None else _edge_pass_weights(
-                        block.edge_mlp, ews, ebs, egamma, ebeta, eeps)
                     agg_out = _buf(getbuf, "blk.agg", (n, edges.shape[1]),
-                                   dtype) if dtype == np.float32 else None
+                                   dtype)
                     if fused is not None:
-                        # fp32: node-sized projections on sgemm, then one
-                        # C pass per edge tile from the gather to the
+                        # node-sized projections on sgemm, then one C
+                        # pass per edge tile from the gather to the
                         # aggregation and the edge residual
                         ph = fused.b0.shape[0]
                         proj_s = np.matmul(
@@ -273,44 +276,14 @@ class EncodeProcessDecode(Module):
                         aggregated = kern.edge_pass(
                             fused, edges, proj_s, proj_r, senders, receivers,
                             agg_out, residual=bi != last)
-                        messages = None
                     else:
-                        # the float64 kernel applies the first ReLU, which
-                        # a one-layer MLP does not have
-                        k64 = _accel64(b, edges, nodes, ews[0], ebs[0],
-                                       senders, receivers) \
-                            if len(ews) > 1 else None
-                        h0 = edge_mlp_first_layer(
-                            edges, nodes, senders, receivers, ews[0], ebs[0],
-                            out=_buf(getbuf, "blk.edge.0",
-                                     (e, ews[0].shape[1]), dtype),
-                            kern=k64)
-                        messages = _mlp_tail(h0, ews, ebs, egamma, ebeta,
-                                             eeps, getbuf=getbuf,
-                                             tag="blk.edge", backend=b,
-                                             activated=k64 is not None)
+                        messages = edge_mlp_numpy(
+                            edges, nodes, senders, receivers, *edge_mlp,
+                            getbuf=getbuf, tag="blk.edge", backend=b)
                         aggregated = plan.segment_sum(messages, out=agg_out)
-                    nws, nbs, ngamma, nbeta, neps = block.node_mlp.arrays(dtype)
-                    if kern is not None and len(nws) > 1:
-                        width = nodes.shape[1]
-                        h0 = np.matmul(nodes, nws[0][:width],
-                                       out=_buf(getbuf, "blk.node.0",
-                                                (n, nws[0].shape[1]), dtype))
-                        h0 += np.matmul(aggregated, nws[0][width:],
-                                        out=_buf(getbuf, "blk.node.agg",
-                                                 (n, nws[0].shape[1]), dtype))
-                        node_update = _mlp_tail_accel(h0, nws, nbs, ngamma,
-                                                      nbeta, neps, getbuf,
-                                                      "blk.node", kern,
-                                                      bias0=nbs[0])
-                    else:
-                        h0 = node_mlp_first_layer(
-                            nodes, aggregated, nws[0], nbs[0],
-                            out=_buf(getbuf, "blk.node.0",
-                                     (n, nws[0].shape[1]), dtype))
-                        node_update = _mlp_tail(h0, nws, nbs, ngamma, nbeta,
-                                                neps, getbuf=getbuf,
-                                                tag="blk.node", backend=b)
+                    node_update = node_mlp_numpy(
+                        nodes, aggregated, *block.node_mlp.arrays(dtype),
+                        getbuf=getbuf, tag="blk.node", backend=b)
                 nodes += node_update
                 if bi != last and messages is not None:
                     # the final block's edge residual is dead — nothing

@@ -36,22 +36,23 @@ class Linear(Module):
     def arrays(self, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
         """Weight/bias as plain arrays in ``dtype``.
 
-        Non-float64 casts are cached and invalidated by identity: the
-        optimizers rebind ``p.data`` on every step, so a stale cache is
-        detected without version counters.
+        Non-float64 casts are cached and invalidated by the identity of
+        both arrays: the optimizers rebind ``p.data`` on every step, so a
+        stale cache is detected without version counters.
         """
         if dtype == np.float64:
             return self.weight.data, self.bias.data
         cache = getattr(self, "_cast_cache", None)
         if (cache is None or cache[0] is not self.weight.data
-                or cache[1].dtype != dtype):
+                or cache[1] is not self.bias.data
+                or cache[2].dtype != dtype):
             # Fortran order: sgemm with a column-major B runs ~9% faster
             # here than with row-major (measured on the fp32 fast path)
-            cache = (self.weight.data,
+            cache = (self.weight.data, self.bias.data,
                      np.asfortranarray(self.weight.data.astype(dtype)),
                      self.bias.data.astype(dtype))
             object.__setattr__(self, "_cast_cache", cache)
-        return cache[1], cache[2]
+        return cache[2], cache[3]
 
 
 class LayerNorm(Module):
@@ -73,11 +74,13 @@ class LayerNorm(Module):
             return self.gamma.data, self.beta.data
         cache = getattr(self, "_cast_cache", None)
         if (cache is None or cache[0] is not self.gamma.data
-                or cache[1].dtype != dtype):
-            cache = (self.gamma.data, self.gamma.data.astype(dtype),
+                or cache[1] is not self.beta.data
+                or cache[2].dtype != dtype):
+            cache = (self.gamma.data, self.beta.data,
+                     self.gamma.data.astype(dtype),
                      self.beta.data.astype(dtype))
             object.__setattr__(self, "_cast_cache", cache)
-        return cache[1], cache[2]
+        return cache[2], cache[3]
 
 
 class Sequential(Module):
@@ -162,8 +165,8 @@ class MLP(Module):
         Numerically identical to :meth:`forward` in float64. ``getbuf``
         optionally supplies reusable output buffers (see
         :class:`repro.utils.buffers.Workspace`); ``backend`` (see
-        :func:`repro.backend.get_backend`) says whether the fused tail
-        may use the compiled float32 kernels.
+        :func:`repro.backend.get_backend`) says whether the MLP tail may
+        use the compiled kernels.
         """
         ws, bs, gamma, beta, eps = self.arrays(x.dtype.type)
         return mlp_forward_numpy(x, ws, bs, gamma, beta, eps,

@@ -172,19 +172,18 @@ def _edge_pass(kern, packed, edges, nodes, senders, receivers,
 
 class TestEdgePass:
     """The fused float32 edge pass against the generic float32 path with
-    the kernels off: split first layer, ``_mlp_tail``, CSR segment sum
-    and the residual add."""
+    the kernels off: ``edge_mlp_numpy`` (split first layer and tail), CSR
+    segment sum and the residual add."""
 
     ATOL = 2e-5  # messages are LayerNorm outputs, O(1)
 
     @staticmethod
     def _generic(ws, bs, gamma, beta, edges, nodes, senders, receivers):
         from repro.autodiff import SortedSegments
-        from repro.autodiff.fused import _mlp_tail, edge_mlp_first_layer
+        from repro.autodiff.fused import edge_mlp_numpy
 
-        h0 = edge_mlp_first_layer(edges, nodes, senders, receivers, ws[0],
-                                  bs[0])
-        msgs = _mlp_tail(h0, ws, bs, gamma, beta, 1e-5, backend="numpy")
+        msgs = edge_mlp_numpy(edges, nodes, senders, receivers, ws, bs, gamma,
+                              beta, 1e-5, backend="numpy")
         plan = SortedSegments(receivers, nodes.shape[0], backend="numpy")
         return plan.segment_sum(msgs), edges + msgs
 

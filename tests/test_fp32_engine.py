@@ -194,6 +194,26 @@ class TestFusedEdgePass:
         assert edge_passes["n"] == calls
         assert np.abs(fused - generic).max() < 1e-5
 
+    def test_rebound_bias_and_beta_reach_the_float32_engine(self,
+                                                           edge_passes):
+        """Rebinding only an edge-MLP bias and a LayerNorm β (as an
+        optimizer step does) refreshes their float32 casts and the fused
+        edge pass's packed weights: the rollout equals, bit for bit, a
+        fresh simulator's loaded with the same weights."""
+        sim = _make_sim()
+        frames = _seed_frames(sim)
+        sim.rollout(frames, 2, dtype=np.float32, backend="accel")
+        edge_lin = sim.network.blocks[0].edge_mlp.linears[1]
+        edge_lin.bias.data = edge_lin.bias.data + 0.5
+        node_norm = sim.network.blocks[1].node_mlp.norm
+        node_norm.beta.data = node_norm.beta.data + 0.25
+        fresh = _make_sim(seed=7)
+        fresh.load_state_dict(sim.state_dict())
+        got = sim.rollout(frames, 4, dtype=np.float32, backend="accel")
+        assert edge_passes["n"] > 0
+        np.testing.assert_array_equal(
+            got, fresh.rollout(frames, 4, dtype=np.float32, backend="accel"))
+
 
 class TestSanitizer:
     def test_dtype_sanitizer_clean_in_fp32_mode(self):

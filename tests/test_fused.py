@@ -12,8 +12,8 @@ import pytest
 from repro.autodiff import Tensor, concatenate
 from repro.autodiff.functional import layer_norm, relu
 from repro.autodiff.fused import (
-    edge_mlp_first_layer, fused_edge_mlp, fused_node_mlp, linear_relu,
-    mlp_forward, mlp_forward_numpy, node_mlp_first_layer,
+    edge_mlp_numpy, fused_edge_mlp, fused_node_mlp, linear_relu,
+    mlp_forward, mlp_forward_numpy, node_mlp_numpy,
 )
 from repro.autodiff.scatter import gather
 from repro.nn import MLP
@@ -244,14 +244,15 @@ class TestNumpyKernels:
         nodes, edges, senders, receivers = graph_fixture(rng, latent=latent)
         w0 = rng.normal(size=(3 * latent, 8))
         b0 = rng.normal(size=(8,))
-        split = edge_mlp_first_layer(edges, nodes, senders, receivers, w0, b0)
+        # a one-layer MLP without LayerNorm is its split first layer
+        split = edge_mlp_numpy(edges, nodes, senders, receivers, [w0], [b0])
         concat = np.concatenate([edges, nodes[senders], nodes[receivers]],
                                 axis=1) @ w0 + b0
         np.testing.assert_allclose(split, concat, rtol=1e-13, atol=1e-14)
 
         agg = rng.normal(size=(nodes.shape[0], latent))
         w0n = rng.normal(size=(2 * latent, 8))
-        split_n = node_mlp_first_layer(nodes, agg, w0n, b0)
+        split_n = node_mlp_numpy(nodes, agg, [w0n], [b0])
         concat_n = np.concatenate([nodes, agg], axis=1) @ w0n + b0
         np.testing.assert_allclose(split_n, concat_n, rtol=1e-13, atol=1e-14)
 

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.autodiff import no_grad
+from repro.accel import build_error, kernels, toolchain_missing
+from repro.autodiff import SortedSegments, no_grad
 from repro.gns import (
     FeatureConfig, GNSNetworkConfig, InferenceEngine, LearnedSimulator, Stats,
 )
@@ -13,7 +14,7 @@ from repro.graph import radius_graph
 
 
 def make_sim(use_material=True, types=False, attention=False, history=3,
-             seed=1):
+             seed=1, hidden_layers=2):
     bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
     cfg = FeatureConfig(
         connectivity_radius=0.15, history=history, bounds=bounds,
@@ -21,6 +22,7 @@ def make_sim(use_material=True, types=False, attention=False, history=3,
         num_particle_types=2 if types else 1,
         static_types=(1,) if types else ())
     net = GNSNetworkConfig(latent_size=12, mlp_hidden_size=12,
+                           mlp_hidden_layers=hidden_layers,
                            message_passing_steps=2, attention=attention)
     # small acceleration scale keeps the untrained dynamics slow enough
     # that the Verlet cache actually gets hits
@@ -42,9 +44,10 @@ def make_seed(sim, n=50, seed=0):
 # Engine vs tape oracle: one matrix over graphs × paths × backends
 # ----------------------------------------------------------------------
 
-#: graph kinds of the parity matrix
+#: graph kinds of the parity matrix ("one-layer": every MLP without a
+#: hidden layer, so the edge MLP's split first layer runs no ReLU)
 PARITY_GRAPHS = ("plain", "attention", "typed-static", "no-material",
-                 "zero-edges", "isolated-attention")
+                 "zero-edges", "isolated-attention", "one-layer")
 PARITY_STEPS = 8
 #: float32 engine vs float64 engine, max |Δx| over the parity rollouts
 FP32_DRIFT = 1e-5
@@ -63,7 +66,8 @@ def _parity_case(graph):
     types for one graph kind; trajectory 1 is the one compared."""
     sim = make_sim(use_material=graph != "no-material",
                    types=graph == "typed-static",
-                   attention=graph in ("attention", "isolated-attention"))
+                   attention=graph in ("attention", "isolated-attention"),
+                   hidden_layers=0 if graph == "one-layer" else 2)
     seeds = np.stack([make_seed(sim, n=40, seed=s) for s in range(3)])
     if graph == "zero-edges":
         # a lattice spaced beyond the connectivity radius (0.15)
@@ -130,6 +134,38 @@ def test_engine_matches_tape_oracle(graph, path, backend):
     assert not np.array_equal(f64[-1], f64[-2])  # the rollout moved
     f32 = engine(np.float32)
     assert np.abs(f32 - f64).max() < FP32_DRIFT
+
+
+@pytest.mark.parametrize("case", ["float32-accel", "float32-numpy",
+                                  "float64-accel", "attention-float32-accel"])
+def test_plan_built_only_where_a_block_reads_it(monkeypatch, case):
+    """The engine builds no aggregation plan of its own: ``forward_fast``
+    builds one the first time a block aggregates through it. A float32
+    ``accel`` rollout whose every block runs the fused edge pass builds
+    none; ``numpy``, float64 and attention blocks build one per step."""
+    if case == "float32-accel":
+        reason = toolchain_missing()
+        if reason is not None:
+            pytest.skip(reason)
+        assert kernels() is not None, build_error()
+    builds = []
+    init = SortedSegments.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SortedSegments, "__init__", counted)
+    sim = make_sim(attention=case.startswith("attention"))
+    dtype = np.float64 if "float64" in case else np.float32
+    backend = "numpy" if case.endswith("numpy") else "accel"
+    out = sim.rollout(make_seed(sim), 4, material=30.0, dtype=dtype,
+                      backend=backend)
+    assert np.isfinite(out).all()
+    if case == "float32-accel":
+        assert builds == []
+    else:
+        assert len(builds) == 4  # one per step, shared by every block
 
 
 class TestBitwiseParity:
